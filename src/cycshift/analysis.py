@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .cyclic import d_max
+from .cyclic import EPS_DEGENERATE, TOL_CYCLIC, d_max
 from .bloch import decompose
 from .errors import DimensionError, NotAStateError
 
@@ -89,14 +89,17 @@ class DetectionReport:
         return asdict(self)
 
 
-def detect(state, *, restarts=16, rng=None, tol_bound=TOL_BOUND):
+def detect(state, *, restarts=16, rng=None, tol_bound=TOL_BOUND,
+           eps_deg=EPS_DEGENERATE, tol_cyclic=TOL_CYCLIC):
     """Run the full detection battery on a state.
 
     Computes the maximized shift, the separability-bound comparison, the
     partial transpose test and the outer-product classification, and
-    combines them into a DetectionReport.
+    combines them into a DetectionReport.  ``eps_deg`` and
+    ``tol_cyclic`` are passed on to ``d_max``.
     """
-    result = d_max(state, restarts=restarts, rng=rng)
+    result = d_max(state, restarts=restarts, rng=rng, eps_deg=eps_deg,
+                   tol_cyclic=tol_cyclic)
     min_eig, ppt_negative = ppt_test(state)
     form = decompose(state)
     _, theorem_class = _outer_product_fit(form)

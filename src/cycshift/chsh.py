@@ -7,18 +7,31 @@ Bob's observables.  ``run_protocol`` turns that invariance into a
 reconstruction: optimal settings are located before and after the
 operation using only F evaluations, the rotation linking the two Bob
 frames is read off, and the induced shift is estimated from it.
+
+With one party's axes fixed, F = a1 . c1 + a2 . c2 is linear in each of
+the other party's axes, so its maximum over unit axes is reached at
+a_k = c_k / |c_k| (the fact behind the Horodecki CHSH bound).  Reading
+the two coefficient vectors off F takes 12 evaluations per stage, and
+no search is needed.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .bloch import decompose
-from .cyclic import CyclicUnitary, apply_cyclic, cyclic_from_matrix, shift_direct
+from .cyclic import (
+    CyclicUnitary,
+    _cross_matrix,
+    _shift_from_radicand,
+    apply_cyclic,
+    conjugation_matrix,
+    cyclic_from_matrix,
+    shift_direct,
+)
 from .errors import ConsistencyError, DimensionError, RecoveryError
-from .operators import SIGMA_1, SIGMA_2, SIGMA_3, tensor
+from .operators import SIGMA_1, SIGMA_2, SIGMA_3, gell_mann_basis, tensor
 
 X_AXIS = np.array([1.0, 0.0, 0.0])
 Y_AXIS = np.array([0.0, 1.0, 0.0])
@@ -101,28 +114,14 @@ def pauli_conjugate(axis, phi):
     if nrm == 0.0:
         raise ValueError("axis must be nonzero")
     u = u / nrm
-    cross = np.array([
-        [0.0, -u[2], u[1]],
-        [u[2], 0.0, -u[0]],
-        [-u[1], u[0], 0.0],
-    ])
     return (math.cos(phi) * np.eye(3)
-            + math.sin(phi) * cross
+            + math.sin(phi) * _cross_matrix(u)
             + (1.0 - math.cos(phi)) * np.outer(u, u))
 
 
 def rotation_from_unitary(u):
     """Conjugation rotation R[i, k] = Tr(sigma_k U sigma_i U^dag)/2 of a qubit unitary."""
-    m = u.matrix if isinstance(u, CyclicUnitary) else np.asarray(u, dtype=complex)
-    if m.shape != (2, 2):
-        raise DimensionError(f"expected a 2x2 unitary, got shape {m.shape}")
-    sig = (SIGMA_1, SIGMA_2, SIGMA_3)
-    r = np.empty((3, 3))
-    for i in range(3):
-        conj = m @ sig[i] @ m.conj().T
-        for k in range(3):
-            r[i, k] = 0.5 * np.trace(sig[k] @ conj).real
-    return r
+    return conjugation_matrix(u, gell_mann_basis(2)).T
 
 
 def transported_settings(settings, u):
@@ -179,30 +178,6 @@ class ChshTranscript:
         }
 
 
-def _spherical(theta, phi):
-    s = math.sin(theta)
-    return np.array([s * math.cos(phi), s * math.sin(phi), math.cos(theta)])
-
-
-def _search_axes(value_fn, rng, restarts):
-    """Multi-start local search for the axis pair maximizing value_fn."""
-
-    def objective(x):
-        return -value_fn(_spherical(x[0], x[1]), _spherical(x[2], x[3]))
-
-    best = None
-    for _ in range(restarts):
-        x0 = np.array([
-            rng.uniform(0.0, math.pi), rng.uniform(-math.pi, math.pi),
-            rng.uniform(0.0, math.pi), rng.uniform(-math.pi, math.pi),
-        ])
-        res = minimize(objective, x0, method="Nelder-Mead",
-                       options={"xatol": 1e-8, "fatol": 1e-12, "maxiter": 800})
-        if best is None or res.fun < best.fun:
-            best = res
-    return _spherical(best.x[0], best.x[1]), _spherical(best.x[2], best.x[3])
-
-
 def _linear_coefficients(value_fn, slot):
     """Coefficient vector of the linearly entering axis in slot 0 or 1.
 
@@ -219,15 +194,20 @@ def _linear_coefficients(value_fn, slot):
     return coeff
 
 
-def _best_pair(value_fn, searched, calibrated):
-    """Pick whichever axis pair reaches the larger F value.
+def _optimal_pair(value_fn, flat_message):
+    """Exact maximizing axis pair of a value linear in each of two unit axes.
 
-    Ties inside float noise go to the calibrated pair, whose axes are
-    exact while the searched ones carry optimizer tolerance.
+    F(a1, a2) = a1 . c1 + a2 . c2 is largest at a_k = c_k / |c_k|.  A
+    coefficient vector at float noise leaves its axis unconstrained,
+    which raises RecoveryError with ``flat_message``.
     """
-    if value_fn(*searched) > value_fn(*calibrated) + 1e-12:
-        return searched
-    return calibrated
+    c1 = _linear_coefficients(value_fn, 0)
+    c2 = _linear_coefficients(value_fn, 1)
+    n1 = np.linalg.norm(c1)
+    n2 = np.linalg.norm(c2)
+    if n1 < FLAT_TOL or n2 < FLAT_TOL:
+        raise RecoveryError(flat_message)
+    return c1 / n1, c2 / n2
 
 
 def run_protocol(state, u, *, restarts=8, rng=None, tol_match=MATCH_TOL):
@@ -235,7 +215,8 @@ def run_protocol(state, u, *, restarts=8, rng=None, tol_match=MATCH_TOL):
 
     Stage 1 fixes Bob at sigma_1, sigma_2 and finds Alice's optimal
     axes on the initial state; stage 2 fixes Alice there and finds
-    Bob's optimal axes on the final state.  The two Bob frames are
+    Bob's optimal axes on the final state.  Each optimum is the exact
+    closed form read off 12 F evaluations.  The two Bob frames are
     linked by the conjugation rotation of U, which is read off from the
     stage-2 optimum and turned into an estimate of the induced shift.
 
@@ -245,28 +226,23 @@ def run_protocol(state, u, *, restarts=8, rng=None, tol_match=MATCH_TOL):
     that break it, and rank-deficient correlation matrices that leave
     an optimum flat, raise RecoveryError rather than returning a bogus
     estimate.
+
+    ``restarts`` and ``rng`` are accepted for compatibility and have no
+    effect: no step of the protocol is a search or draws random numbers.
     """
     if state.dims != (2, 2):
         raise DimensionError(f"protocol needs a two-qubit state, got dims {state.dims}")
     unit = u if isinstance(u, CyclicUnitary) else cyclic_from_matrix(state, u)
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    restarts = max(int(restarts), 1)
 
     def f_initial(alice_1, alice_2):
         return chsh_expectation(state, MeasurementSettings(
             alice_1=alice_1, alice_2=alice_2, bob_1=X_AXIS, bob_2=Y_AXIS))
 
-    a_coeff = _linear_coefficients(f_initial, 0)
-    b_coeff = _linear_coefficients(f_initial, 1)
-    if np.linalg.norm(a_coeff) < FLAT_TOL or np.linalg.norm(b_coeff) < FLAT_TOL:
-        raise RecoveryError(
-            "stage-1 optimum is not unique: the correlation matrix leaves an "
-            "Alice axis unconstrained (rank below 2)"
-        )
-    searched = _search_axes(f_initial, gen, restarts)
-    calibrated = (a_coeff / np.linalg.norm(a_coeff),
-                  b_coeff / np.linalg.norm(b_coeff))
-    alice_1, alice_2 = _best_pair(f_initial, searched, calibrated)
+    alice_1, alice_2 = _optimal_pair(
+        f_initial,
+        "stage-1 optimum is not unique: the correlation matrix leaves an "
+        "Alice axis unconstrained (rank below 2)",
+    )
     f_max_initial = f_initial(alice_1, alice_2)
 
     state_f = apply_cyclic(state, unit)
@@ -275,17 +251,11 @@ def run_protocol(state, u, *, restarts=8, rng=None, tol_match=MATCH_TOL):
         return chsh_expectation(state_f, MeasurementSettings(
             alice_1=alice_1, alice_2=alice_2, bob_1=bob_1, bob_2=bob_2))
 
-    d1_coeff = _linear_coefficients(f_final, 0)
-    d2_coeff = _linear_coefficients(f_final, 1)
-    if np.linalg.norm(d1_coeff) < FLAT_TOL or np.linalg.norm(d2_coeff) < FLAT_TOL:
-        raise RecoveryError(
-            "stage-2 optimum is not unique: a Bob axis is unconstrained on the "
-            "final state (correlation rank below 2)"
-        )
-    searched_f = _search_axes(f_final, gen, restarts)
-    calibrated_f = (d1_coeff / np.linalg.norm(d1_coeff),
-                    d2_coeff / np.linalg.norm(d2_coeff))
-    bob_1, bob_2 = _best_pair(f_final, searched_f, calibrated_f)
+    bob_1, bob_2 = _optimal_pair(
+        f_final,
+        "stage-2 optimum is not unique: a Bob axis is unconstrained on the "
+        "final state (correlation rank below 2)",
+    )
     f_max_final = f_final(bob_1, bob_2)
 
     if abs(f_max_final - f_max_initial) > tol_match:
@@ -308,8 +278,10 @@ def run_protocol(state, u, *, restarts=8, rng=None, tol_match=MATCH_TOL):
 
     beta_0 = decompose(state).beta
     beta_f_rec = beta_0 @ rotation
-    radicand = 0.25 * (float(np.sum(beta_0 * beta_0)) - float(np.sum(beta_0 * beta_f_rec)))
-    estimated_d = math.sqrt(max(radicand, 0.0))
+    # 0.25 (|beta|^2 - sum beta beta_f) as a norm of the difference, the
+    # cancellation-free form that shift_correlation uses.
+    diff = beta_0 - beta_f_rec
+    estimated_d = _shift_from_radicand(0.125 * float(np.sum(diff * diff)))
 
     reference = shift_direct(state, unit)
     if abs(estimated_d - reference) > tol_match:

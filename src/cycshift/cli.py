@@ -190,6 +190,7 @@ def _cmd_dmax(args, config):
         restarts=config.restarts,
         rng=np.random.default_rng(config.seed),
         eps_deg=config.eps_deg,
+        tol_cyclic=config.tol_cyclic,
     )
     payload = {
         "d": result.d,
@@ -211,6 +212,8 @@ def _cmd_detect(args, config):
         restarts=config.restarts,
         rng=np.random.default_rng(config.seed),
         tol_bound=config.tol_bound,
+        eps_deg=config.eps_deg,
+        tol_cyclic=config.tol_cyclic,
     )
     return _json_text(report.to_json_dict())
 
@@ -240,9 +243,7 @@ def _cmd_chsh(args, config):
         tol_cyclic=config.tol_cyclic,
         eps_deg=config.eps_deg,
     )
-    transcript = run_protocol(
-        state, unit, restarts=config.restarts, rng=np.random.default_rng(config.seed)
-    )
+    transcript = run_protocol(state, unit)
     payload = {
         "phi": float(args.phi),
         "axis": args.axis,
@@ -274,12 +275,13 @@ def _scan_sample(family, index, count, seed):
 
 
 def _scan_row(task):
-    family, index, count, seed, restarts, eps_deg, tol_bound = task
+    family, index, count, seed, restarts, eps_deg, tol_cyclic, tol_bound = task
     state, param = _scan_sample(family, index, count, seed)
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(index, 1))
     )
-    result = d_max(state, restarts=restarts, rng=rng, eps_deg=eps_deg)
+    result = d_max(state, restarts=restarts, rng=rng, eps_deg=eps_deg,
+                   tol_cyclic=tol_cyclic)
     beta_norm = float(decompose(state).beta_norm)
     _, ppt_entangled = ppt_test(state)
     bound_violated = result.d > SEPARABLE_BOUND + tol_bound
@@ -291,7 +293,7 @@ def _cmd_scan(args, config):
         raise ValueError(f"count must be >= 1, got {args.count}")
     tasks = [
         (args.family, i, args.count, config.seed, config.restarts,
-         config.eps_deg, config.tol_bound)
+         config.eps_deg, config.tol_cyclic, config.tol_bound)
         for i in range(args.count)
     ]
     if config.workers == 1:
@@ -340,7 +342,8 @@ def _add_config_flags(parser):
     parser.add_argument("--seed", type=int, default=None,
                         help="base seed for samplers and optimizer restarts")
     parser.add_argument("--restarts", type=int, default=None,
-                        help="multi-start count for the optimizers")
+                        help="multi-start count for the generic d_max optimizer "
+                             "(no effect on chsh, whose optimum is exact)")
     parser.add_argument("--workers", type=int, default=None,
                         help="parallel worker processes (scan only)")
     parser.add_argument("--tol-herm", type=float, default=None, dest="tol_herm",

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .bloch import BipartiteState, bloch_vector, decompose
 from .errors import (
@@ -40,6 +39,18 @@ TOL_CYCLIC = 1e-9
 # Radicands this far below zero are treated as rounding noise and clamped.
 RADICAND_FLOOR = -1e-12
 CROSS_CHECK_TOL = 1e-9
+
+
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported on first use.
+
+    Loading scipy.optimize takes about half a second, and only the
+    generic d_max optimizer needs it, so the closed forms, the CHSH
+    protocol and the CLI start without it.
+    """
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -363,12 +374,13 @@ def _cross_matrix(u_vec):
     ])
 
 
-def _finalize(state, form, unit, d_value, formula, method, restarts, certified, params):
+def _finalize(state, form, unit, d_value, formula, method, restarts, certified, params,
+              tol_cyclic):
     # Residuals compare squared shifts: the square root amplifies float
     # noise without bound as d approaches zero, while the radicands
     # agree to absolute precision everywhere.
-    d_dir = shift_direct(state, unit)
-    d_cor = shift_correlation(form, unit)
+    d_dir = shift_direct(state, unit, tol_cyclic=tol_cyclic)
+    d_cor = shift_correlation(form, unit, tol_cyclic=tol_cyclic)
     residual = abs(d_dir * d_dir - d_cor * d_cor)
     if residual >= CROSS_CHECK_TOL:
         raise ConsistencyError(
@@ -393,7 +405,7 @@ def _finalize(state, form, unit, d_value, formula, method, restarts, certified, 
     )
 
 
-def _dmax_phase(state, form, structure):
+def _dmax_phase(state, form, structure, tol_cyclic):
     # Qubit B with nondegenerate rho_B: the commutant is the relative
     # phase family exp(i phi/2 u.sigma) about the Bloch axis u of rho_B,
     # and the correlation contraction is A + B cos(phi) + C sin(phi).
@@ -415,6 +427,7 @@ def _dmax_phase(state, form, structure):
             state, form, unit, 0.0, "correlation", "phase-closed-form",
             restarts=0, certified=True,
             params={"phi": 0.0, "axis": [float(x) for x in u_vec]},
+            tol_cyclic=tol_cyclic,
         )
     phi_star = math.atan2(c_term, b_term) + math.pi
     d_val = _shift_from_radicand(pref * (b_term + hyp))
@@ -424,16 +437,17 @@ def _dmax_phase(state, form, structure):
         p0 = np.exp(-1j * sign * half)
         p1 = np.exp(1j * sign * half)
         unit = make_cyclic(state, [[[p0]], [[p1]]], structure=structure)
-        candidates.append((shift_direct(state, unit), sign, unit))
+        candidates.append((shift_direct(state, unit, tol_cyclic=tol_cyclic), sign, unit))
     d_best, sign, unit = max(candidates, key=lambda t: t[0])
     return _finalize(
         state, form, unit, d_val, "correlation", "phase-closed-form",
         restarts=0, certified=True,
         params={"phi": sign * phi_star, "axis": [float(x) for x in u_vec]},
+        tol_cyclic=tol_cyclic,
     )
 
 
-def _dmax_rotation(state, form, structure):
+def _dmax_rotation(state, form, structure, tol_cyclic, eps_deg):
     # Qubit B with rho_B = I/2: the commutant conjugations sweep all of
     # SO(3) on the correlation matrix, and the optimum is a rotation by
     # pi about the eigenvector of beta^T beta with smallest eigenvalue.
@@ -444,11 +458,12 @@ def _dmax_rotation(state, form, structure):
     d_val = _shift_from_radicand(pref * 2.0 * float(evals[1] + evals[2]))
     h = w_vec[0] * SIGMA_1 + w_vec[1] * SIGMA_2 + w_vec[2] * SIGMA_3
     u = 1j * h  # exp(i pi/2 w.sigma)
-    unit = cyclic_from_matrix(state, u)
+    unit = cyclic_from_matrix(state, u, tol_cyclic=tol_cyclic, eps_deg=eps_deg)
     return _finalize(
         state, form, unit, d_val, "correlation", "rotation-closed-form",
         restarts=0, certified=True,
         params={"phi": math.pi, "axis": [float(x) for x in w_vec]},
+        tol_cyclic=tol_cyclic,
     )
 
 
@@ -479,7 +494,8 @@ def _blocks_from_params(params, sizes):
     return blocks
 
 
-def _dmax_generic(state, form, structure, restarts, rng, max_iters, tol_conv=1e-10):
+def _dmax_generic(state, form, structure, restarts, rng, max_iters, tol_cyclic,
+                  tol_conv=1e-10):
     sizes = structure.block_sizes
     nparams = _param_count(sizes)
     v = structure.basis
@@ -532,11 +548,12 @@ def _dmax_generic(state, form, structure, restarts, rng, max_iters, tol_conv=1e-
         state, form, unit, d_val, "direct", "multistart",
         restarts=restarts, certified=certified,
         params={"block_params": [float(x) for x in best.x]},
+        tol_cyclic=tol_cyclic,
     )
 
 
 def d_max(state, *, restarts=16, method="auto", rng=None, eps_deg=EPS_DEGENERATE,
-          max_iters=None):
+          max_iters=None, tol_cyclic=TOL_CYCLIC):
     """Maximize the shift over all cyclic unitaries on subsystem B.
 
     Parameters
@@ -552,6 +569,14 @@ def d_max(state, *, restarts=16, method="auto", rng=None, eps_deg=EPS_DEGENERATE
         forces the optimizer.
     rng : int, numpy Generator or None
         Seed material for the optimizer restarts.
+    eps_deg : float
+        Relative eigenvalue gap below which levels of rho_B merge into
+        one block (see ``commutant_basis``).
+    tol_cyclic : float
+        Commutation tolerance for every cyclic-unitary check on the way.
+        Merging nearly degenerate levels with a large ``eps_deg`` admits
+        unitaries that commute with rho_B only up to about the merged
+        gap, so such runs need a matching ``tol_cyclic``.
 
     Returns
     -------
@@ -565,7 +590,7 @@ def d_max(state, *, restarts=16, method="auto", rng=None, eps_deg=EPS_DEGENERATE
     structure = commutant_basis(state, eps_deg)
     if method == "auto" and state.dim_b == 2:
         if len(structure.blocks) == 2:
-            return _dmax_phase(state, form, structure)
-        return _dmax_rotation(state, form, structure)
+            return _dmax_phase(state, form, structure, tol_cyclic)
+        return _dmax_rotation(state, form, structure, tol_cyclic, eps_deg)
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    return _dmax_generic(state, form, structure, restarts, gen, max_iters)
+    return _dmax_generic(state, form, structure, restarts, gen, max_iters, tol_cyclic)

@@ -232,3 +232,38 @@ def test_protocol_rejects_wrong_dimensions():
     state = maximally_mixed((2, 3))
     with pytest.raises(DimensionError):
         run_protocol(state, np.eye(3, dtype=complex))
+
+
+def test_stage1_axes_match_closed_form_oracle():
+    # With Bob at x and y, F = a1 . beta(x + y) + a2 . beta(x - y), so the
+    # optimal Alice axes are those two vectors normalized and the maximum
+    # is the sum of their norms.  A random local unitary on A rotates beta
+    # without breaking the frame identification.
+    rng = np.random.default_rng(21)
+    x_hat = np.array([1.0, 0.0, 0.0])
+    y_hat = np.array([0.0, 1.0, 0.0])
+    for _ in range(6):
+        if rng.uniform() < 0.5:
+            k1 = rng.uniform(0.2, 0.95)
+            base = schmidt_state(k1, math.sqrt(1.0 - k1 * k1))
+        else:
+            base = werner_state(rng.uniform(0.2, 1.0))
+        u_a = np.kron(haar_unitary(2, rng), np.eye(2))
+        state = BipartiteState(u_a @ base.rho @ u_a.conj().T, (2, 2))
+        unit = phase_cyclic(state, rng.uniform(0.3, 3.0), axis="z")
+        transcript = run_protocol(state, unit)
+        beta = decompose(state).beta
+        plus = beta @ (x_hat + y_hat)
+        minus = beta @ (x_hat - y_hat)
+        assert np.max(np.abs(transcript.stage1.axis_1 - plus / np.linalg.norm(plus))) < 1e-12
+        assert np.max(np.abs(transcript.stage1.axis_2 - minus / np.linalg.norm(minus))) < 1e-12
+        f_max = np.linalg.norm(plus) + np.linalg.norm(minus)
+        assert abs(transcript.stage1.f_value - f_max) < 1e-12
+
+
+def test_protocol_ignores_restarts_and_rng():
+    state = schmidt_state(0.6, 0.8)
+    unit = phase_cyclic(state, 1.2)
+    plain = run_protocol(state, unit).to_json_dict()
+    tuned = run_protocol(state, unit, restarts=1, rng=np.random.default_rng(99))
+    assert tuned.to_json_dict() == plain

@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import cycshift
 from cycshift.cli import main
 from cycshift.states import bell_state, state_to_json
 
@@ -222,3 +226,48 @@ def test_invalid_tolerance_exits_2(capsys):
                            "--tol-psd=-1e-9")
     assert code == 2
     assert "tol_psd" in err
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cycshift.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = "import sys, cycshift.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
+def test_dmax_merged_levels_with_matching_tol_cyclic(capsys):
+    code, out, _ = run_cli(capsys, "dmax", "--state", "schmidt:0.7071",
+                           "--eps-deg", "1e-4", "--tol-cyclic", "1e-4")
+    assert code == 0
+    data = json.loads(out)
+    assert abs(data["d"] - 1.0) < 1e-6
+    assert data["method"] == "rotation-closed-form"
+    assert data["unitary"]["block_sizes"] == [2]
+
+
+def test_eps_deg_without_tol_cyclic_exits_2(capsys):
+    # merging the two levels admits a unitary that commutes with rho_B only
+    # to about the merged gap; the default commutation tolerance rejects it
+    for command in ("dmax", "detect"):
+        code, _, err = run_cli(capsys, command, "--state", "schmidt:0.7071",
+                               "--eps-deg", "1e-4")
+        assert code == 2
+        assert "commutator" in err
+
+
+def test_detect_honours_eps_deg_and_tol_cyclic(capsys):
+    code, out, _ = run_cli(capsys, "detect", "--state", "schmidt:0.7071",
+                           "--eps-deg", "1e-4", "--tol-cyclic", "1e-4")
+    assert code == 0
+    assert abs(json.loads(out)["d_max"] - 1.0) < 1e-6
+
+
+def test_chsh_accepts_restarts(capsys):
+    code, out, _ = run_cli(capsys, "chsh", "--state", "schmidt:0.6",
+                           "--phi", "1.2", "--restarts", "3")
+    assert code == 0
+    _, plain, _ = run_cli(capsys, "chsh", "--state", "schmidt:0.6", "--phi", "1.2")
+    assert out == plain

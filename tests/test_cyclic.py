@@ -258,3 +258,15 @@ def test_dmax_upper_bound_on_separable_samples():
     bound = 1.0 / math.sqrt(2.0)
     for state, _ in sample_separable(59, count=40):
         assert d_max(state).d <= bound + 1e-9
+
+
+def test_dmax_passes_tol_cyclic_to_merged_blocks():
+    state = schmidt_state(0.7071, math.sqrt(1.0 - 0.7071 ** 2))
+    with pytest.raises(NotCyclicError):
+        d_max(state, eps_deg=1e-4)
+    result = d_max(state, eps_deg=1e-4, tol_cyclic=1e-4)
+    assert result.method == "rotation-closed-form"
+    assert result.unitary.structure.block_sizes == (2,)
+    assert abs(result.d - 1.0) < 1e-6
+    # the phase form at the default gap reaches the same value
+    assert abs(result.d - d_max(state).d) < 1e-6
