@@ -31,13 +31,15 @@ from .operators import (
     expi_hermitian,
     gell_mann_basis,
     is_unitary,
-    tensor,
 )
 
 EPS_DEGENERATE = 1e-9
 TOL_CYCLIC = 1e-9
-# Radicands this far below zero are treated as rounding noise and clamped.
+# The radicand Tr(rho^2) - Tr(rho rho_f) lies in [0, 1] for a density
+# matrix.  Values outside that range by no more than these margins are
+# rounding noise and clamped; anything further raises ConsistencyError.
 RADICAND_FLOOR = -1e-12
+RADICAND_CEILING = 1.0 + 1e-12
 CROSS_CHECK_TOL = 1e-9
 
 
@@ -93,7 +95,10 @@ class ShiftResult:
     "correlation"); ``cross_check_residual`` is the disagreement between
     the two routes evaluated at the returned unitary.  ``certified`` is
     False when the generic optimizer hit its budget without meeting the
-    convergence criterion.
+    convergence criterion.  ``nfev`` counts the generic optimizer's
+    objective evaluations over all restarts and polish passes, and
+    ``restart_spread`` is the largest minus the smallest ``d`` reached
+    by its restarts; both are 0 for the closed forms.
     """
 
     d: float
@@ -104,6 +109,8 @@ class ShiftResult:
     restarts: int
     certified: bool
     params: dict
+    nfev: int = 0
+    restart_spread: float = 0.0
 
 
 def commutant_basis(state, eps_deg=EPS_DEGENERATE):
@@ -256,18 +263,32 @@ def _unitary_of(u):
     return m
 
 
+def _conj_b(rho, u, dims):
+    """(I (x) U) rho (I (x) U)^dag without forming the Kronecker product.
+
+    rho is viewed as a (dA, dA) grid of (dB, dB) blocks, and each block
+    is conjugated by U: O(dA^2 dB^3) work instead of O((dA dB)^3).
+    """
+    na, nb = dims
+    blocks = rho.reshape(na, nb, na, nb).transpose(0, 2, 1, 3)
+    out = u @ blocks @ u.conj().T
+    return out.transpose(0, 2, 1, 3).reshape(na * nb, na * nb)
+
+
 def apply_cyclic(state, u):
     """Final state (I (x) U) rho (I (x) U)^dag as a BipartiteState."""
     m = _unitary_of(u)
-    full = tensor(np.eye(state.dim_a, dtype=complex), m)
-    rho_f = full @ state.rho @ full.conj().T
-    return BipartiteState(rho_f, state.dims)
+    return BipartiteState(_conj_b(state.rho, m, state.dims), state.dims)
 
 
 def _shift_from_radicand(radicand):
     if radicand < RADICAND_FLOOR:
         raise ConsistencyError(
             f"shift radicand {radicand:.3e} is negative beyond rounding tolerance"
+        )
+    if radicand > RADICAND_CEILING:
+        raise ConsistencyError(
+            f"shift radicand {radicand!r} exceeds 1 beyond rounding tolerance"
         )
     return min(math.sqrt(max(radicand, 0.0)), 1.0)
 
@@ -294,9 +315,7 @@ def shift_direct(state, u, *, tol_cyclic=TOL_CYCLIC):
         raise NotCyclicError(
             f"commutator with rho_B is {comm:.3e}, above tolerance {tol_cyclic:.1e}"
         )
-    full = tensor(np.eye(state.dim_a, dtype=complex), m)
-    rho_f = full @ state.rho @ full.conj().T
-    diff = state.rho - rho_f
+    diff = state.rho - _conj_b(state.rho, m, state.dims)
     return _shift_from_radicand(0.5 * np.vdot(diff, diff).real)
 
 
@@ -375,7 +394,7 @@ def _cross_matrix(u_vec):
 
 
 def _finalize(state, form, unit, d_value, formula, method, restarts, certified, params,
-              tol_cyclic):
+              tol_cyclic, nfev=0, restart_spread=0.0):
     # Residuals compare squared shifts: the square root amplifies float
     # noise without bound as d approaches zero, while the radicands
     # agree to absolute precision everywhere.
@@ -402,6 +421,8 @@ def _finalize(state, form, unit, d_value, formula, method, restarts, certified, 
         restarts=restarts,
         certified=certified,
         params=params,
+        nfev=nfev,
+        restart_spread=restart_spread,
     )
 
 
@@ -473,65 +494,122 @@ def _param_count(sizes):
     return sum(s * s for s in sizes)
 
 
+def _hermitians_from_params(params, sizes):
+    # Per block of size s: s diagonal entries, then (re, im) of each
+    # upper-triangle entry in row-major order.
+    params = np.asarray(params, dtype=float)
+    out = []
+    pos = 0
+    for s in sizes:
+        h = np.diag(params[pos:pos + s].astype(complex))
+        pos += s
+        iu = np.triu_indices(s, 1)
+        npairs = len(iu[0])
+        off = params[pos:pos + 2 * npairs:2] + 1j * params[pos + 1:pos + 2 * npairs:2]
+        pos += 2 * npairs
+        h[iu] = off
+        h[iu[1], iu[0]] = off.conj()
+        out.append(h)
+    return out
+
+
 def _blocks_from_params(params, sizes):
     if all(s == 1 for s in sizes):
         phases = np.concatenate(([0.0], params))
         return [np.array([[np.exp(1j * t)]]) for t in phases]
-    blocks = []
-    pos = 0
+    return [expi_hermitian(h) for h in _hermitians_from_params(params, sizes)]
+
+
+def _radicand_objective(rho_rot, dims, sizes):
+    """The shift radicand over block parameters, with its gradient.
+
+    ``rho_rot`` is the state in the eigenbasis of rho_B, where a cyclic
+    unitary is block diagonal with blocks of ``sizes``.  The returned
+    function maps ``params`` (laid out as in ``_blocks_from_params``) to
+    (radicand, gradient).
+    """
+    na, nb = dims
+    if all(s == 1 for s in sizes):
+        # U = diag(exp(i theta)) moves entry (a i, a' j) by the phase
+        # theta_i - theta_j, so R = sum_ij W_ij (1 - cos(theta_i - theta_j)).
+        weights = (np.abs(rho_rot.reshape(na, nb, na, nb)) ** 2).sum(axis=(0, 2))
+
+        def objective(params):
+            theta = np.concatenate(([0.0], params))
+            delta = theta[:, None] - theta[None, :]
+            radicand = float(np.sum(weights * (1.0 - np.cos(delta))))
+            grad = 2.0 * np.sum(weights * np.sin(delta), axis=1)
+            return radicand, grad[1:]
+
+        return objective
+
+    spans = []
+    start = 0
     for s in sizes:
-        h = np.zeros((s, s), dtype=complex)
-        for i in range(s):
-            h[i, i] = params[pos]
-            pos += 1
-        for i in range(s):
-            for j in range(i + 1, s):
-                re, im = params[pos], params[pos + 1]
-                pos += 2
-                h[i, j] = re + 1j * im
-                h[j, i] = re - 1j * im
-        blocks.append(expi_hermitian(h))
-    return blocks
+        spans.append(slice(start, start + s))
+        start += s
+
+    def objective(params):
+        w = np.zeros((nb, nb), dtype=complex)
+        eigs = []
+        for span, h in zip(spans, _hermitians_from_params(params, sizes)):
+            lam, q = np.linalg.eigh(h)
+            w[span, span] = (q * np.exp(1j * lam)) @ q.conj().T
+            eigs.append((lam, q))
+        rho_f = _conj_b(rho_rot, w, dims)
+        diff = rho_rot - rho_f
+        radicand = 0.5 * np.vdot(diff, diff).real
+        # dR = -2 Re Tr(G^dag dW) with G = Tr_A(rho D rho), D = I (x) W,
+        # and D rho = rho_f D gives G = Tr_A(rho rho_f) W.
+        g = np.trace((rho_rot @ rho_f).reshape(na, nb, na, nb), axis1=0, axis2=2) @ w
+        grad = []
+        for span, (lam, q) in zip(spans, eigs):
+            # Daleckii-Krein: d exp(iH) = Q (Phi o (Q^dag dH Q)) Q^dag with
+            # Phi_pq = (e^{i lam_p} - e^{i lam_q}) / (lam_p - lam_q).
+            half = 0.5 * (lam[:, None] - lam[None, :])
+            phi = 1j * np.exp(0.5j * (lam[:, None] + lam[None, :])) * np.sinc(half / math.pi)
+            gam = q @ (phi.conj() * (q.conj().T @ g[span, span] @ q)) @ q.conj().T
+            iu = np.triu_indices(len(lam), 1)
+            pairs = np.empty(2 * len(iu[0]))
+            pairs[0::2] = gam[iu].real + gam.T[iu].real
+            pairs[1::2] = gam[iu].imag - gam.T[iu].imag
+            grad.append(np.diag(gam).real)
+            grad.append(pairs)
+        return radicand, -2.0 * np.concatenate(grad)
+
+    return objective
 
 
 def _dmax_generic(state, form, structure, restarts, rng, max_iters, tol_cyclic,
                   tol_conv=1e-10):
     sizes = structure.block_sizes
     nparams = _param_count(sizes)
-    v = structure.basis
-    eye_a = np.eye(state.dim_a, dtype=complex)
-    rho = state.rho
-
-    def radicand(params):
-        b = np.zeros((state.dim_b, state.dim_b), dtype=complex)
-        for (_, idx), wk in zip(structure.blocks, _blocks_from_params(params, sizes)):
-            b[np.ix_(idx, idx)] = wk
-        u = v @ b @ v.conj().T
-        full = tensor(eye_a, u)
-        rho_f = full @ rho @ full.conj().T
-        diff = rho - rho_f
-        return 0.5 * np.vdot(diff, diff).real
+    rho_rot = _conj_b(state.rho, structure.basis.conj().T, state.dims)
+    radicand = _radicand_objective(rho_rot, state.dims, sizes)
 
     def objective(params):
-        return -radicand(params)
+        value, grad = radicand(params)
+        return -value, -grad
 
-    options = {
-        "xatol": 1e-11,
-        "fatol": 1e-15,
-        "maxiter": max_iters if max_iters is not None else 800 * max(nparams, 1),
-        "maxfev": max_iters if max_iters is not None else 800 * max(nparams, 1),
-    }
-    best = None
-    for _ in range(restarts):
-        x0 = rng.uniform(-math.pi, math.pi, size=nparams)
-        res = minimize(objective, x0, method="Nelder-Mead", options=options)
-        if best is None or res.fun < best.fun:
-            best = res
+    options = {"ftol": 1e-15, "gtol": 1e-12}
+    if max_iters is not None:
+        options["maxiter"] = max_iters
+    nfev = 0
+
+    def run(x0):
+        nonlocal nfev
+        res = minimize(objective, x0, jac=True, method="L-BFGS-B", options=options)
+        nfev += int(res.nfev)
+        return res
+
+    runs = [run(rng.uniform(-math.pi, math.pi, size=nparams)) for _ in range(restarts)]
+    best = min(runs, key=lambda res: res.fun)
+    d_runs = [math.sqrt(max(-res.fun, 0.0)) for res in runs]
     # Polish until the shift stops improving.
     certified = bool(best.success)
     d_prev = math.sqrt(max(-best.fun, 0.0))
     for _ in range(8):
-        res = minimize(objective, best.x, method="Nelder-Mead", options=options)
+        res = run(best.x)
         if res.fun < best.fun:
             best = res
         d_now = math.sqrt(max(-best.fun, 0.0))
@@ -548,7 +626,7 @@ def _dmax_generic(state, form, structure, restarts, rng, max_iters, tol_cyclic,
         state, form, unit, d_val, "direct", "multistart",
         restarts=restarts, certified=certified,
         params={"block_params": [float(x) for x in best.x]},
-        tol_cyclic=tol_cyclic,
+        tol_cyclic=tol_cyclic, nfev=nfev, restart_spread=max(d_runs) - min(d_runs),
     )
 
 
@@ -572,6 +650,9 @@ def d_max(state, *, restarts=16, method="auto", rng=None, eps_deg=EPS_DEGENERATE
     eps_deg : float
         Relative eigenvalue gap below which levels of rho_B merge into
         one block (see ``commutant_basis``).
+    max_iters : int or None
+        Iteration budget of each L-BFGS-B run of the generic optimizer
+        (scipy's default when None).
     tol_cyclic : float
         Commutation tolerance for every cyclic-unitary check on the way.
         Merging nearly degenerate levels with a large ``eps_deg`` admits
@@ -582,11 +663,18 @@ def d_max(state, *, restarts=16, method="auto", rng=None, eps_deg=EPS_DEGENERATE
     -------
     ShiftResult
     """
+    return _d_max_of_form(state, decompose(state), restarts=restarts, method=method,
+                          rng=rng, eps_deg=eps_deg, max_iters=max_iters,
+                          tol_cyclic=tol_cyclic)
+
+
+def _d_max_of_form(state, form, *, restarts=16, method="auto", rng=None,
+                   eps_deg=EPS_DEGENERATE, max_iters=None, tol_cyclic=TOL_CYCLIC):
+    """``d_max`` for a caller that already holds the state's Bloch form."""
     if method not in ("auto", "generic"):
         raise ValueError(f"method must be 'auto' or 'generic', got {method!r}")
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
-    form = decompose(state)
     structure = commutant_basis(state, eps_deg)
     if method == "auto" and state.dim_b == 2:
         if len(structure.blocks) == 2:

@@ -11,6 +11,7 @@ from cycshift.analysis import (
     ppt_test,
 )
 from cycshift.bloch import BipartiteState, decompose
+from cycshift.cyclic import d_max
 from cycshift.errors import DimensionError, NotAStateError
 from cycshift.operators import tensor
 from cycshift.states import (
@@ -178,3 +179,22 @@ def test_bound_violators_are_ppt_negative():
         report = detect(state)
         if report.bound_violated:
             assert report.ppt_negative
+
+
+@pytest.mark.parametrize("state", [schmidt_state(0.6, 0.8), bell_state(),
+                                   next(sample_random_state(83, dims=(2, 3), count=1))])
+def test_detect_decomposes_once(monkeypatch, state):
+    import cycshift.analysis
+    import cycshift.cyclic
+
+    calls = []
+
+    def counting(st, *args, **kwargs):
+        calls.append(st)
+        return decompose(st, *args, **kwargs)
+
+    monkeypatch.setattr(cycshift.analysis, "decompose", counting)
+    monkeypatch.setattr(cycshift.cyclic, "decompose", counting)
+    report = detect(state, restarts=2, rng=np.random.default_rng(3))
+    assert len(calls) == 1
+    assert report.d_max == d_max(state, restarts=2, rng=np.random.default_rng(3)).d

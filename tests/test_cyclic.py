@@ -5,6 +5,10 @@ import pytest
 
 from cycshift.bloch import BipartiteState, decompose
 from cycshift.cyclic import (
+    _conj_b,
+    _param_count,
+    _radicand_objective,
+    _shift_from_radicand,
     apply_cyclic,
     beta_final,
     commutant_basis,
@@ -16,7 +20,7 @@ from cycshift.cyclic import (
     shift_correlation,
     shift_direct,
 )
-from cycshift.errors import NotCyclicError, OperatorError
+from cycshift.errors import ConsistencyError, NotCyclicError, OperatorError
 from cycshift.operators import gell_mann_basis, partial_trace, tensor
 from cycshift.states import (
     bell_state,
@@ -270,3 +274,108 @@ def test_dmax_passes_tol_cyclic_to_merged_blocks():
     assert abs(result.d - 1.0) < 1e-6
     # the phase form at the default gap reaches the same value
     assert abs(result.d - d_max(state).d) < 1e-6
+
+
+def maximally_entangled(n):
+    vec = np.eye(n, dtype=complex).reshape(-1) / math.sqrt(n)
+    return np.outer(vec, vec.conj())
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4)])
+def test_conj_b_matches_kron(dims):
+    rng = np.random.default_rng(61)
+    na, nb = dims
+    rho = random_density(na * nb, rng)
+    u = haar_unitary(nb, rng)
+    full = np.kron(np.eye(na), u)
+    want = full @ rho @ full.conj().T
+    assert np.max(np.abs(_conj_b(rho, u, dims) - want)) < 1e-14
+
+
+def test_shift_radicand_ceiling():
+    assert _shift_from_radicand(1.0 + 5e-13) == 1.0
+    with pytest.raises(ConsistencyError):
+        _shift_from_radicand(1.0 + 5e-12)
+    with pytest.raises(ConsistencyError):
+        _shift_from_radicand(-5e-12)
+
+
+def _gradient_cases():
+    rng = np.random.default_rng(67)
+    cases = [(random_density(6, rng), (2, 3)), (random_density(9, rng), (3, 3))]
+    # A maximally entangled qubit pair inside 2x3 under a local unitary:
+    # rho_B has eigenvalues (0, 1/2, 1/2), blocks of size 1 and 2.
+    vec = np.zeros(6, dtype=complex)
+    vec[0] = vec[4] = 1.0 / math.sqrt(2.0)
+    u = np.kron(haar_unitary(2, rng), haar_unitary(3, rng))
+    cases.append((u @ np.outer(vec, vec.conj()) @ u.conj().T, (2, 3)))
+    # A mixture of maximally entangled qutrit pairs rotated on A only:
+    # rho_B = I/3, one block of size 3.
+    rho = np.zeros((9, 9), dtype=complex)
+    for weight in (0.6, 0.4):
+        ua = np.kron(haar_unitary(3, rng), np.eye(3))
+        rho += weight * ua @ maximally_entangled(3) @ ua.conj().T
+    cases.append((rho, (3, 3)))
+    return cases
+
+
+@pytest.mark.parametrize("case, sizes", [(0, (1, 1, 1)), (1, (1, 1, 1)), (2, (1, 2)), (3, (3,))],
+                         ids=["2x3", "3x3", "2x3-blocks-1-2", "3x3-block-3"])
+def test_radicand_gradient_matches_central_differences(case, sizes):
+    rho, dims = _gradient_cases()[case]
+    state = BipartiteState((rho + rho.conj().T) / 2.0, dims)
+    structure = commutant_basis(state)
+    assert structure.block_sizes == sizes
+    rho_rot = _conj_b(state.rho, structure.basis.conj().T, dims)
+    objective = _radicand_objective(rho_rot, dims, sizes)
+    nparams = _param_count(sizes)
+    x = np.random.default_rng(71 + case).uniform(-math.pi, math.pi, nparams)
+    _, grad = objective(x)
+    h = 1e-6
+    numeric = np.array([
+        (objective(x + h * e)[0] - objective(x - h * e)[0]) / (2.0 * h)
+        for e in np.eye(nparams)
+    ])
+    assert np.max(np.abs(grad - numeric)) < 1e-8
+
+
+def test_generic_dmax_maximally_entangled_qutrits():
+    state = BipartiteState(maximally_entangled(3), (3, 3))
+    result = d_max(state, rng=np.random.default_rng(0))
+    assert result.method == "multistart"
+    assert result.restarts == 16
+    assert abs(result.d - 1.0) < 1e-9
+    assert result.certified
+    assert result.cross_check_residual < 1e-9
+
+
+def test_generic_dmax_beats_phase_grid():
+    rng = np.random.default_rng(73)
+    state = BipartiteState(random_density(9, rng), (3, 3))
+    result = d_max(state, rng=np.random.default_rng(1))
+    assert result.unitary.structure.block_sizes == (1, 1, 1)
+    # Every cyclic unitary of a nondegenerate rho_B is a phase diagonal
+    # in its eigenbasis; scan two relative phases on a 200 x 200 grid.
+    rho_b = state.rho.reshape(3, 3, 3, 3).trace(axis1=0, axis2=2)
+    _, v = np.linalg.eigh(rho_b)
+    full_v = np.kron(np.eye(3), v)
+    blocks = (full_v.conj().T @ state.rho @ full_v).reshape(3, 3, 3, 3)
+    grid = np.linspace(0.0, 2.0 * math.pi, 200, endpoint=False)
+    best = 0.0
+    for t1 in grid:
+        phases = np.exp(1j * np.stack([np.zeros_like(grid), np.full_like(grid, t1), grid], 1))
+        # entry (a i, a' j) picks up phases[i] * conj(phases[j])
+        factor = phases[:, None, :, None, None] * phases[:, None, None, None, :].conj()
+        radicand = 0.5 * np.sum(np.abs(blocks * (1.0 - factor)) ** 2, axis=(1, 2, 3, 4))
+        best = max(best, float(radicand.max()))
+    assert result.d >= math.sqrt(best) - 1e-12
+    assert abs(shift_direct(state, result.unitary) - result.d) < 1e-12
+
+
+def test_shift_result_reports_optimizer_effort():
+    state = next(sample_random_state(79, dims=(2, 3), count=1))
+    result = d_max(state, restarts=4, rng=np.random.default_rng(2))
+    assert result.nfev >= 5
+    assert 0.0 <= result.restart_spread < 1e-9
+    closed = d_max(schmidt_state(0.6, 0.8))
+    assert closed.nfev == 0 and closed.restart_spread == 0.0
