@@ -24,14 +24,14 @@ OUTER_FIT_TOL = 1e-8
 
 
 def partial_transpose(rho, dims):
-    """Partial transpose on subsystem B."""
+    """Partial transpose on subsystem B, of each matrix of a stack."""
     da, db = int(dims[0]), int(dims[1])
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (da * db, da * db):
+    if rho.ndim < 2 or rho.shape[-2:] != (da * db, da * db):
         raise DimensionError(
             f"operator shape {rho.shape} does not match dims ({da}, {db})"
         )
-    return rho.reshape(da, db, da, db).transpose(0, 3, 2, 1).reshape(rho.shape)
+    return rho.reshape(*rho.shape[:-2], da, db, da, db).swapaxes(-3, -1).reshape(rho.shape)
 
 
 def ppt_test(state):
@@ -42,10 +42,17 @@ def ppt_test(state):
     certifies entanglement in any dimensions; positivity is conclusive
     for separability only on 2x2 and 2x3 systems.
     """
-    pt = partial_transpose(state.rho, state.dims)
-    w = np.linalg.eigvalsh((pt + pt.conj().T) / 2.0)
-    min_eig = float(w.min())
+    min_eig = float(_min_pt_eigenvalues(state.rho[None], state.dims)[0])
     return min_eig, min_eig < PPT_EIG_FLOOR
+
+
+def _min_pt_eigenvalues(rhos, dims):
+    """Minimum eigenvalue of the partial transpose of each state in a stack."""
+    pt = partial_transpose(rhos, dims)
+    herm = pt.conj().swapaxes(-1, -2)
+    herm += pt
+    herm /= 2.0
+    return np.linalg.eigvalsh(herm).min(axis=1)
 
 
 def _outer_product_fit(form, tol=OUTER_FIT_TOL):

@@ -159,8 +159,18 @@ def bloch_vector(rho_reduced, basis):
         raise DimensionError(
             f"reduced matrix shape {rho_reduced.shape} does not match basis dim {n}"
         )
-    c = _coeff_r(n)
-    return np.array([c * np.trace(rho_reduced @ g).real for g in basis])
+    return _bloch_vectors(rho_reduced, basis)
+
+
+def _bloch_vectors(rho_reduced, basis):
+    # Bloch vector of a reduced matrix, or of each matrix of a stack.
+    return _coeff_r(basis.dim) * np.einsum("...ij,kji->...k", rho_reduced, basis.stack).real
+
+
+def _correlation_matrices(rho, dims):
+    # beta of a density matrix, or of each matrix of a stack.
+    na, nb = dims
+    return _coeff_beta(na, nb) * np.einsum("ijkl,...lk->...ij", _pair_stack(na, nb), rho).real
 
 
 def decompose(state, basis_a=None, basis_b=None):
@@ -186,8 +196,7 @@ def decompose(state, basis_a=None, basis_b=None):
         )
     r_a = bloch_vector(state.rho_a, basis_a)
     r_b = bloch_vector(state.rho_b, basis_b)
-    stack = _pair_stack(na, nb)
-    beta = _coeff_beta(na, nb) * np.einsum("ijkl,lk->ij", stack, state.rho).real
+    beta = _correlation_matrices(state.rho, state.dims)
     r_a.setflags(write=False)
     r_b.setflags(write=False)
     beta.setflags(write=False)

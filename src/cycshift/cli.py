@@ -32,10 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import SEPARABLE_BOUND, detect, ppt_test
+from .analysis import PPT_EIG_FLOOR, SEPARABLE_BOUND, _min_pt_eigenvalues, detect
 from .bloch import decompose
 from .chsh import run_protocol
-from .cyclic import d_max, phase_cyclic, shift_direct
+from .cyclic import _qubit_b_closed_forms, d_max, phase_cyclic, shift_direct
 from .errors import ConsistencyError, RecoveryError
 from .states import (
     random_state_at,
@@ -253,7 +253,7 @@ def _cmd_chsh(args, config):
     return _json_text(payload)
 
 
-def _scan_sample(family, index, count, seed):
+def _scan_sample(family, index, grid, seed):
     """State and scalar parameter for one scan row.
 
     The parameter column records the grid value for grid families, the
@@ -263,10 +263,10 @@ def _scan_sample(family, index, count, seed):
         state, ensemble = separable_at(seed, index)
         return state, float(ensemble.m)
     if family == "werner-grid":
-        p = float(np.linspace(0.0, 1.0, count)[index])
+        p = float(grid[index])
         return werner_state(p), p
     if family == "schmidt-grid":
-        k1 = float(np.linspace(0.0, 1.0, count)[index])
+        k1 = float(grid[index])
         return schmidt_state(k1, math.sqrt(max(0.0, 1.0 - k1 * k1))), k1
     if family == "random":
         state = random_state_at(seed, index)
@@ -274,35 +274,48 @@ def _scan_sample(family, index, count, seed):
     raise ValueError(f"unknown scan family {family!r}")
 
 
-def _scan_row(task):
-    family, index, count, seed, restarts, eps_deg, tol_cyclic, tol_bound = task
-    state, param = _scan_sample(family, index, count, seed)
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(index, 1))
-    )
-    result = d_max(state, restarts=restarts, rng=rng, eps_deg=eps_deg,
-                   tol_cyclic=tol_cyclic)
-    beta_norm = float(decompose(state).beta_norm)
-    _, ppt_entangled = ppt_test(state)
-    bound_violated = result.d > SEPARABLE_BOUND + tol_bound
-    return (index, family, param, result.d, beta_norm, ppt_entangled, bound_violated)
+def _scan_rows(task):
+    """Rows start..stop-1 of a scan, drawn one by one and computed as one batch."""
+    family, start, stop, grid, seed, eps_deg, tol_cyclic, tol_bound = task
+    rhos = np.empty((stop - start, 4, 4), dtype=complex)  # every family is two-qubit
+    params = []
+    for row, index in enumerate(range(start, stop)):
+        try:
+            state, param = _scan_sample(family, index, grid, seed)
+        except ValueError as exc:
+            raise type(exc)(f"row {index}: {exc}") from None
+        rhos[row] = state.rho
+        params.append(param)
+    forms = _qubit_b_closed_forms(rhos, (2, 2), eps_deg=eps_deg, tol_cyclic=tol_cyclic,
+                                  first_index=start)
+    min_eigs = _min_pt_eigenvalues(rhos, (2, 2))
+    return [
+        (index, family, param, d_value, float(np.linalg.norm(beta)),
+         min_eig < PPT_EIG_FLOOR, d_value > SEPARABLE_BOUND + tol_bound)
+        for index, param, d_value, beta, min_eig in zip(
+            range(start, stop), params, forms.d.tolist(), forms.beta, min_eigs.tolist())
+    ]
 
 
 def _cmd_scan(args, config):
     if args.count < 1:
         raise ValueError(f"count must be >= 1, got {args.count}")
+    grid = None
+    if args.family in ("werner-grid", "schmidt-grid"):
+        grid = np.linspace(0.0, 1.0, args.count)
+    # One contiguous block of rows per worker; each block is one batch.
+    bounds = [args.count * k // config.workers for k in range(config.workers + 1)]
     tasks = [
-        (args.family, i, args.count, config.seed, config.restarts,
-         config.eps_deg, config.tol_cyclic, config.tol_bound)
-        for i in range(args.count)
+        (args.family, start, stop, grid, config.seed, config.eps_deg,
+         config.tol_cyclic, config.tol_bound)
+        for start, stop in zip(bounds, bounds[1:]) if start < stop
     ]
-    if config.workers == 1:
-        rows = [_scan_row(task) for task in tasks]
+    if len(tasks) == 1:
+        blocks = [_scan_rows(tasks[0])]
     else:
-        chunk = max(1, args.count // (config.workers * 4))
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            rows = list(pool.map(_scan_row, tasks, chunksize=chunk))
-    rows.sort(key=lambda row: row[0])
+        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
+            blocks = list(pool.map(_scan_rows, tasks))
+    rows = [row for block in blocks for row in block]
     max_d = max(row[3] for row in rows)
 
     if args.format == "json":
@@ -343,9 +356,11 @@ def _add_config_flags(parser):
                         help="base seed for samplers and optimizer restarts")
     parser.add_argument("--restarts", type=int, default=None,
                         help="multi-start count for the generic d_max optimizer "
-                             "(no effect on chsh, whose optimum is exact)")
+                             "(no effect on chsh, whose optimum is exact, or on the "
+                             "two-qubit scan families)")
     parser.add_argument("--workers", type=int, default=None,
-                        help="parallel worker processes (scan only)")
+                        help="parallel worker processes (scan only; each computes "
+                             "one contiguous block of rows)")
     parser.add_argument("--tol-herm", type=float, default=None, dest="tol_herm",
                         help="Hermiticity tolerance for state validation")
     parser.add_argument("--tol-psd", type=float, default=None, dest="tol_psd",

@@ -17,10 +17,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import BipartiteState, bloch_vector, decompose
+from .bloch import (
+    BipartiteState,
+    _bloch_vectors,
+    _correlation_matrices,
+    bloch_vector,
+    decompose,
+)
 from .errors import (
     ConsistencyError,
     DimensionError,
+    MergedLevelsError,
     NotCyclicError,
     OperatorError,
 )
@@ -31,6 +38,7 @@ from .operators import (
     expi_hermitian,
     gell_mann_basis,
     is_unitary,
+    partial_trace,
 )
 
 EPS_DEGENERATE = 1e-9
@@ -41,6 +49,12 @@ TOL_CYCLIC = 1e-9
 RADICAND_FLOOR = -1e-12
 RADICAND_CEILING = 1.0 + 1e-12
 CROSS_CHECK_TOL = 1e-9
+# The phase family counts as flat when its largest radicand is below
+# this multiple of float epsilon (times max(1, Tr beta^T beta)).
+_FLAT_PHASE_FAMILY = 64.0 * np.finfo(float).eps
+# exp(-i phi/2) and exp(i phi/2) are the two block phases of the phase form.
+_HALF_TURN_SIGNS = np.array([-1j, 1j])
+_IDENTITY_2 = np.eye(2)
 
 
 def minimize(*args, **kwargs):
@@ -201,11 +215,7 @@ def cyclic_from_matrix(state, u, *, tol_unitary=1e-10, tol_cyclic=TOL_CYCLIC,
         raise DimensionError(f"unitary shape {u.shape} does not match dim {nb}")
     if not is_unitary(u, tol_unitary):
         raise OperatorError("matrix is not unitary within tolerance")
-    comm = np.abs(state.rho_b @ u - u @ state.rho_b).max()
-    if comm > tol_cyclic:
-        raise NotCyclicError(
-            f"commutator with rho_B is {comm:.3e}, above tolerance {tol_cyclic:.1e}"
-        )
+    _require_commutes(state.rho_b, u, tol_cyclic)
     structure = commutant_basis(state, eps_deg)
     v = structure.basis
     in_eigenbasis = v.conj().T @ u @ v
@@ -254,6 +264,62 @@ def phase_cyclic(state, phi, axis=None, **kwargs):
     return cyclic_from_matrix(state, u, **kwargs)
 
 
+class _RowChecks:
+    """The first failed check of each row of a batch.
+
+    Checks are recorded in the order the single-state computation makes
+    them, so each row keeps its first failure.  ``raise_first`` raises
+    the failure of the lowest row, named ``row first_index + i`` when
+    the batch has a ``first_index``.
+    """
+
+    def __init__(self, first_index=None):
+        self.first_index = first_index
+        self.failures = {}
+
+    def fail(self, rows, bad, error, message):
+        if not np.count_nonzero(bad):  # the common case, and cheap to test
+            return
+        for k in np.flatnonzero(bad):
+            self.failures.setdefault(int(rows[k]), (error, message(k)))
+
+    def raise_first(self):
+        if not self.failures:
+            return
+        row = min(self.failures)
+        error, text = self.failures[row]
+        if self.first_index is not None:
+            text = f"row {self.first_index + row}: {text}"
+        raise error(text)
+
+
+def _shifts_from_radicands(radicands, rows, checks):
+    checks.fail(rows, radicands < RADICAND_FLOOR, ConsistencyError, lambda k: (
+        f"shift radicand {radicands[k]:.3e} is negative beyond rounding tolerance"))
+    checks.fail(rows, radicands > RADICAND_CEILING, ConsistencyError, lambda k: (
+        f"shift radicand {float(radicands[k])!r} exceeds 1 beyond rounding tolerance"))
+    return np.minimum(np.sqrt(np.maximum(radicands, 0.0)), 1.0)
+
+
+def _commutator_defects(rho_b, u):
+    return np.abs(rho_b @ u - u @ rho_b).max(axis=(-2, -1))
+
+
+def _check_commutes(rows, comm, tol_cyclic, checks):
+    checks.fail(rows, comm > tol_cyclic, NotCyclicError, lambda k: (
+        f"commutator with rho_B is {comm[k]:.3e}, above tolerance {tol_cyclic:.1e}"))
+
+
+def _require_commutes(rho_b, u, tol_cyclic):
+    checks = _RowChecks()
+    _check_commutes((0,), _commutator_defects(rho_b, u)[None], tol_cyclic, checks)
+    checks.raise_first()
+
+
+def _adjoint(u):
+    return u.conj().swapaxes(-1, -2)
+
+
 def _unitary_of(u):
     if isinstance(u, CyclicUnitary):
         return u.matrix
@@ -268,11 +334,13 @@ def _conj_b(rho, u, dims):
 
     rho is viewed as a (dA, dA) grid of (dB, dB) blocks, and each block
     is conjugated by U: O(dA^2 dB^3) work instead of O((dA dB)^3).
+    ``rho`` and ``u`` may carry leading stack axes that broadcast.
     """
     na, nb = dims
-    blocks = rho.reshape(na, nb, na, nb).transpose(0, 2, 1, 3)
-    out = u @ blocks @ u.conj().T
-    return out.transpose(0, 2, 1, 3).reshape(na * nb, na * nb)
+    blocks = rho.reshape(*rho.shape[:-2], na, nb, na, nb).swapaxes(-3, -2)
+    u = u[..., None, None, :, :]
+    out = u @ blocks @ _adjoint(u)
+    return out.swapaxes(-3, -2).reshape(*out.shape[:-4], na * nb, na * nb)
 
 
 def apply_cyclic(state, u):
@@ -282,15 +350,10 @@ def apply_cyclic(state, u):
 
 
 def _shift_from_radicand(radicand):
-    if radicand < RADICAND_FLOOR:
-        raise ConsistencyError(
-            f"shift radicand {radicand:.3e} is negative beyond rounding tolerance"
-        )
-    if radicand > RADICAND_CEILING:
-        raise ConsistencyError(
-            f"shift radicand {radicand!r} exceeds 1 beyond rounding tolerance"
-        )
-    return min(math.sqrt(max(radicand, 0.0)), 1.0)
+    checks = _RowChecks()
+    d = _shifts_from_radicands(np.array([radicand], dtype=float), (0,), checks)
+    checks.raise_first()
+    return float(d[0])
 
 
 def shift_direct(state, u, *, tol_cyclic=TOL_CYCLIC):
@@ -310,13 +373,8 @@ def shift_direct(state, u, *, tol_cyclic=TOL_CYCLIC):
         raise DimensionError(
             f"unitary dim {m.shape[0]} does not match B dim {state.dim_b}"
         )
-    comm = np.abs(state.rho_b @ m - m @ state.rho_b).max()
-    if comm > tol_cyclic:
-        raise NotCyclicError(
-            f"commutator with rho_B is {comm:.3e}, above tolerance {tol_cyclic:.1e}"
-        )
-    diff = state.rho - _conj_b(state.rho, m, state.dims)
-    return _shift_from_radicand(0.5 * np.vdot(diff, diff).real)
+    _require_commutes(state.rho_b, m, tol_cyclic)
+    return _shift_from_radicand(float(_direct_radicands(state.rho, m, state.dims)))
 
 
 def conjugation_matrix(u, basis):
@@ -330,9 +388,12 @@ def conjugation_matrix(u, basis):
     n = basis.dim
     if m.shape != (n, n):
         raise DimensionError(f"unitary dim {m.shape[0]} does not match basis dim {n}")
-    gs = np.stack(tuple(basis))
-    conj = np.einsum("ab,jbc,dc->jad", m, gs, m.conj())
-    return 0.5 * np.einsum("kab,jba->kj", gs, conj).real
+    return _conjugation_matrices(m[None], basis.stack)[0]
+
+
+def _conjugation_matrices(us, gs):
+    conj = np.einsum("nab,jbc,ndc->njad", us, gs, us.conj())
+    return 0.5 * np.einsum("kab,njba->nkj", gs, conj).real
 
 
 def beta_final(form, u):
@@ -342,24 +403,27 @@ def beta_final(form, u):
     generator basis.  The Frobenius norm of beta is preserved; a
     violation beyond 1e-10 raises ConsistencyError.
     """
-    basis_b = gell_mann_basis(form.dim_b)
-    r = conjugation_matrix(u, basis_b)
-    beta_f = form.beta @ r.T
-    drift = abs(np.linalg.norm(beta_f) - np.linalg.norm(form.beta))
-    if drift > 1e-10:
-        raise ConsistencyError(
-            f"correlation norm drifted by {drift:.3e} under a unitary conjugation"
-        )
+    r = conjugation_matrix(u, gell_mann_basis(form.dim_b))
+    checks = _RowChecks()
+    beta_f = _rotated_correlations(form.beta[None], r[None], (0,), checks)
+    checks.raise_first()
+    return beta_f[0]
+
+
+def _rotated_correlations(beta, rot, rows, checks):
+    # beta R^T for each row, with the check that the norm of beta holds.
+    beta_f = beta @ rot.swapaxes(-1, -2)
+    drift = np.abs(np.sqrt((beta_f * beta_f).sum(axis=(-2, -1)))
+                   - np.sqrt((beta * beta).sum(axis=(-2, -1))))
+    checks.fail(rows, drift > 1e-10, ConsistencyError, lambda k: (
+        f"correlation norm drifted by {drift[k]:.3e} under a unitary conjugation"))
     return beta_f
 
 
-def _reduced_b_from_form(form):
-    nb = form.dim_b
-    cb = np.sqrt(nb * (nb - 1) / 2.0)
-    rho_b = np.eye(nb, dtype=complex)
-    for j, g in enumerate(gell_mann_basis(nb)):
-        rho_b += cb * form.r_b[j] * g
-    return rho_b / nb
+def _reduced_from_bloch(r, n):
+    # The n x n reduced matrix of a Bloch vector, or of each of a stack.
+    cb = np.sqrt(n * (n - 1) / 2.0)
+    return (np.eye(n) + cb * np.einsum("...j,jab->...ab", r, gell_mann_basis(n).stack)) / n
 
 
 def shift_correlation(form, u, *, tol_cyclic=TOL_CYCLIC):
@@ -371,12 +435,7 @@ def shift_correlation(form, u, *, tol_cyclic=TOL_CYCLIC):
     shift_direct for every cyclic unitary.
     """
     m = _unitary_of(u)
-    rho_b = _reduced_b_from_form(form)
-    comm = np.abs(rho_b @ m - m @ rho_b).max()
-    if comm > tol_cyclic:
-        raise NotCyclicError(
-            f"commutator with rho_B is {comm:.3e}, above tolerance {tol_cyclic:.1e}"
-        )
+    _require_commutes(_reduced_from_bloch(form.r_b, form.dim_b), m, tol_cyclic)
     beta_f = beta_final(form, u)
     na, nb = form.dim_a, form.dim_b
     pref = (na - 1) * (nb - 1) / (na * nb)
@@ -386,11 +445,16 @@ def shift_correlation(form, u, *, tol_cyclic=TOL_CYCLIC):
 
 
 def _cross_matrix(u_vec):
-    return np.array([
-        [0.0, -u_vec[2], u_vec[1]],
-        [u_vec[2], 0.0, -u_vec[0]],
-        [-u_vec[1], u_vec[0], 0.0],
-    ])
+    """Matrix of v -> u x v, for one 3-vector or a stack of them."""
+    u_vec = np.asarray(u_vec, dtype=float)
+    out = np.zeros(u_vec.shape[:-1] + (3, 3))
+    out[..., 0, 1] = -u_vec[..., 2]
+    out[..., 0, 2] = u_vec[..., 1]
+    out[..., 1, 0] = u_vec[..., 2]
+    out[..., 1, 2] = -u_vec[..., 0]
+    out[..., 2, 0] = -u_vec[..., 1]
+    out[..., 2, 1] = u_vec[..., 0]
+    return out
 
 
 def _finalize(state, form, unit, d_value, formula, method, restarts, certified, params,
@@ -426,65 +490,226 @@ def _finalize(state, form, unit, d_value, formula, method, restarts, certified, 
     )
 
 
-def _dmax_phase(state, form, structure, tol_cyclic):
+@dataclass(frozen=True, eq=False)
+class _QubitBForms:
+    """Row-wise outcome of ``_qubit_b_closed_forms``; arrays have N rows."""
+
+    d: np.ndarray
+    beta: np.ndarray
+    merged: np.ndarray
+    eigenvalues: np.ndarray
+    basis: np.ndarray
+    unitary: np.ndarray
+    in_eigenbasis: np.ndarray
+    phi: np.ndarray
+    axis: np.ndarray
+    residual: np.ndarray
+
+
+def _phase_rows(rows, rhos, rho_b, r_b, mmat, basis, dims, pref, tol_cyclic, checks):
     # Qubit B with nondegenerate rho_B: the commutant is the relative
     # phase family exp(i phi/2 u.sigma) about the Bloch axis u of rho_B,
     # and the correlation contraction is A + B cos(phi) + C sin(phi).
-    mmat = form.beta.T @ form.beta
-    nrm = np.linalg.norm(form.r_b)
-    u_vec = form.r_b / nrm
-    trace_m = float(np.trace(mmat))
-    a_term = float(u_vec @ mmat @ u_vec)
+    m = _take(mmat, rows)
+    r = _take(r_b, rows)
+    u_vec = r / np.sqrt((r[:, None, :] @ r[:, :, None])[:, 0, 0])[:, None]
+    trace_m = np.einsum("nii->n", m)
+    a_term = (u_vec[:, None, :] @ m @ u_vec[:, :, None])[:, 0, 0]
     b_term = trace_m - a_term
-    c_term = float(np.trace(mmat @ _cross_matrix(u_vec)))
-    hyp = math.hypot(b_term, c_term)
-    pref = (form.dim_a - 1) * (form.dim_b - 1) / (form.dim_a * form.dim_b)
+    c_term = np.einsum("nii->n", m @ _cross_matrix(u_vec))
+    hyp = np.hypot(b_term, c_term)
     # When the whole phase family moves the state by no more than float
     # noise (product states, for one), the stationary angle is garbage;
-    # report the identity as the honest argmax instead.
-    if b_term + hyp <= 64.0 * np.finfo(float).eps * max(1.0, trace_m):
-        unit = make_cyclic(state, [[[1.0]], [[1.0]]], structure=structure)
-        return _finalize(
-            state, form, unit, 0.0, "correlation", "phase-closed-form",
-            restarts=0, certified=True,
-            params={"phi": 0.0, "axis": [float(x) for x in u_vec]},
-            tol_cyclic=tol_cyclic,
-        )
-    phi_star = math.atan2(c_term, b_term) + math.pi
-    d_val = _shift_from_radicand(pref * (b_term + hyp))
+    # report the identity (radicand 0, phases 1) as the honest argmax.
+    moving = b_term + hyp > _FLAT_PHASE_FAMILY * np.maximum(1.0, trace_m)
+    d_val = _shifts_from_radicands(np.where(moving, pref * (b_term + hyp), 0.0), rows, checks)
+    phi_star = np.arctan2(c_term, b_term) + math.pi
     half = phi_star / 2.0
-    candidates = []
-    for sign in (1.0, -1.0):
-        p0 = np.exp(-1j * sign * half)
-        p1 = np.exp(1j * sign * half)
-        unit = make_cyclic(state, [[[p0]], [[p1]]], structure=structure)
-        candidates.append((shift_direct(state, unit, tol_cyclic=tol_cyclic), sign, unit))
-    d_best, sign, unit = max(candidates, key=lambda t: t[0])
-    return _finalize(
-        state, form, unit, d_val, "correlation", "phase-closed-form",
-        restarts=0, certified=True,
-        params={"phi": sign * phi_star, "axis": [float(x) for x in u_vec]},
-        tol_cyclic=tol_cyclic,
-    )
+    phases = np.exp(half[:, None] * _HALF_TURN_SIGNS)
+    phases[~moving] = 1.0
+    checks.fail(rows, np.abs(phases * phases.conj() - 1.0).max(axis=1) > 1e-10,
+                OperatorError, lambda k: "block matrix is not unitary within tolerance")
+    v, sub_rho_b, sub_rhos = _take(basis, rows), _take(rho_b, rows), _take(rhos, rows)
+
+    def candidate(p):
+        # exp(i sign phi/2 u.sigma): its shift, matrix, eigenbasis form
+        # and commutator defect
+        in_eig = np.zeros((len(rows), 2, 2), dtype=complex)
+        in_eig[:, 0, 0] = p[:, 0]
+        in_eig[:, 1, 1] = p[:, 1]
+        u = v @ in_eig @ _adjoint(v)
+        comm = _commutator_defects(sub_rho_b, u)
+        _check_commutes(rows, comm, tol_cyclic, checks)
+        d_dir = _shifts_from_radicands(_direct_radicands(sub_rhos, u, dims), rows, checks)
+        return d_dir, u, in_eig, comm
+
+    # sign = -1 swaps the two phases, and wins only where it moves the
+    # state strictly further than sign = +1.
+    best = candidate(phases)
+    other = candidate(phases[:, ::-1])
+    minus = other[0] > best[0]
+    for kept, new in zip(best, other):
+        kept[minus] = new[minus]
+    phi = np.where(moving, np.where(minus, -phi_star, phi_star), 0.0)
+    d_dir, u, in_eig, comm = best
+    return d_val, phi, u_vec, u, in_eig, d_dir, comm
 
 
-def _dmax_rotation(state, form, structure, tol_cyclic, eps_deg):
+def _rotation_rows(rows, rhos, rho_b, r_b, mmat, basis, dims, pref, tol_cyclic, checks):
     # Qubit B with rho_B = I/2: the commutant conjugations sweep all of
     # SO(3) on the correlation matrix, and the optimum is a rotation by
     # pi about the eigenvector of beta^T beta with smallest eigenvalue.
-    mmat = form.beta.T @ form.beta
-    evals, evecs = np.linalg.eigh(mmat)
-    w_vec = evecs[:, 0]
-    pref = (form.dim_a - 1) * (form.dim_b - 1) / (form.dim_a * form.dim_b)
-    d_val = _shift_from_radicand(pref * 2.0 * float(evals[1] + evals[2]))
-    h = w_vec[0] * SIGMA_1 + w_vec[1] * SIGMA_2 + w_vec[2] * SIGMA_3
+    evals, evecs = np.linalg.eigh(_take(mmat, rows))
+    w_vec = evecs[:, :, 0]
+    d_val = _shifts_from_radicands(pref * 2.0 * (evals[:, 1] + evals[:, 2]), rows, checks)
+    h = (w_vec[:, 0, None, None] * SIGMA_1 + w_vec[:, 1, None, None] * SIGMA_2
+         + w_vec[:, 2, None, None] * SIGMA_3)
     u = 1j * h  # exp(i pi/2 w.sigma)
-    unit = cyclic_from_matrix(state, u, tol_cyclic=tol_cyclic, eps_deg=eps_deg)
-    return _finalize(
-        state, form, unit, d_val, "correlation", "rotation-closed-form",
-        restarts=0, certified=True,
-        params={"phi": math.pi, "axis": [float(x) for x in w_vec]},
-        tol_cyclic=tol_cyclic,
+    # The checks of cyclic_from_matrix: unitary, commuting with rho_B,
+    # and block diagonal in its eigenbasis.
+    checks.fail(rows, np.abs(u @ _adjoint(u) - _IDENTITY_2).max(axis=(1, 2)) > 1e-10,
+                OperatorError, lambda k: "matrix is not unitary within tolerance")
+    comm = _commutator_defects(_take(rho_b, rows), u)
+    _check_commutes(rows, comm, tol_cyclic, checks)
+    v = _take(basis, rows)
+    in_eig = _adjoint(v) @ u @ v
+    leak = np.abs(v @ in_eig @ _adjoint(v) - u).max(axis=(1, 2))
+    checks.fail(rows, leak > 1e-10, NotCyclicError, lambda k: (
+        "matrix couples nearly degenerate eigenspaces of rho_B "
+        f"(off-block leakage {leak[k]:.3e})"))
+    d_dir = _shifts_from_radicands(_direct_radicands(_take(rhos, rows), u, dims), rows, checks)
+    return d_val, np.full(len(rows), math.pi), w_vec, u, in_eig, d_dir, comm
+
+
+def _take(a, rows):
+    # ``rows`` ascends without repeats, so a full-length subset is every row.
+    return a if len(rows) == len(a) else a[rows]
+
+
+def _scatter(n, parts):
+    """Per-row outputs of all n rows from outputs on disjoint row subsets."""
+    if len(parts) == 1:
+        return parts[0][1]  # one subset holds every row, in order
+    outs = []
+    for j, first in enumerate(parts[0][1]):
+        out = np.empty((n,) + first.shape[1:], dtype=first.dtype)
+        for rows, values in parts:
+            out[rows] = values[j]
+        outs.append(out)
+    return outs
+
+
+def _direct_radicands(rhos, u, dims):
+    # shift_direct's half squared norm of rho - rho_f, for each unitary.
+    diff = _conj_b(rhos, u, dims)
+    np.subtract(rhos, diff, out=diff)
+    diff = diff.reshape(*diff.shape[:-2], 1, -1)
+    return 0.5 * (diff.conj() @ diff.swapaxes(-1, -2))[..., 0, 0].real
+
+
+def _qubit_b_closed_forms(rhos, dims, *, eps_deg=EPS_DEGENERATE, tol_cyclic=TOL_CYCLIC,
+                          first_index=None):
+    """d_max on a qubit B side for a stack of states, with every check.
+
+    ``rhos`` has shape (N, 2 dA, 2 dA).  A row whose rho_B has two levels
+    (gap at least ``eps_deg * max(1, lambda_max)``, as in
+    ``commutant_basis``) takes the phase form, the others the rotation
+    form.  Every row then passes the direct/correlation cross-check and
+    the checks that ``make_cyclic``, ``cyclic_from_matrix``,
+    ``shift_direct``, ``shift_correlation`` and ``beta_final`` make on
+    one state.  The first failure of the lowest failing row is raised,
+    named ``row first_index + i`` when ``first_index`` is given.
+    """
+    na, nb = dims
+    n = len(rhos)
+    everyone = np.arange(n)
+    checks = _RowChecks(first_index)
+    pauli = gell_mann_basis(2)
+    pref = (na - 1) * (nb - 1) / (na * nb)
+
+    rho_b = partial_trace(rhos, dims, "B")
+    r_b = _bloch_vectors(rho_b, pauli)
+    beta = _correlation_matrices(rhos, dims)
+    mmat = beta.transpose(0, 2, 1) @ beta
+    w, basis = np.linalg.eigh(rho_b)
+    merged = ~(w[:, 1] - w[:, 0] >= eps_deg * np.maximum(1.0, np.abs(w).max(axis=1)))
+
+    parts = []
+    for form, rows in ((_phase_rows, np.flatnonzero(~merged)),
+                       (_rotation_rows, np.flatnonzero(merged))):
+        if len(rows):
+            parts.append((rows, form(rows, rhos, rho_b, r_b, mmat, basis, dims, pref,
+                                     tol_cyclic, checks)))
+    d_val, phi, axis, unitary, in_eig, d_dir, comm = _scatter(n, parts)
+
+    # _finalize's cross-check.  Residuals compare squared shifts: the
+    # square root amplifies float noise without bound as d approaches
+    # zero, while the radicands agree to absolute precision everywhere.
+    _check_commutes(everyone, _commutator_defects(_reduced_from_bloch(r_b, 2), unitary),
+                    tol_cyclic, checks)
+    beta_f = _rotated_correlations(beta, _conjugation_matrices(unitary, pauli.stack),
+                                   everyone, checks)
+    diff = beta - beta_f
+    d_cor = _shifts_from_radicands(pref * 0.5 * (diff * diff).sum(axis=(1, 2)),
+                                   everyone, checks)
+    residual = np.abs(d_dir * d_dir - d_cor * d_cor)
+    # A large eps_deg can merge distinct levels; the rotation form then
+    # assumes rho_B = I/2, and only a loose tol_cyclic lets its unitary
+    # through.  Such a disagreement is a bad option, not a bug.
+    loose = merged & (comm > TOL_CYCLIC)
+
+    def disagree(bad, message):
+        if not np.count_nonzero(bad):
+            return
+        checks.fail(everyone, bad & loose, MergedLevelsError, lambda k: (
+            f"{message(k)}: eps_deg merged the distinct rho_B levels "
+            f"{w[k, 0]:.6g} and {w[k, 1]:.6g}, and tol_cyclic {tol_cyclic:.1e} admitted a "
+            f"unitary that commutes with rho_B only to {comm[k]:.3e}; lower --eps-deg "
+            "or --tol-cyclic"))
+        checks.fail(everyone, bad & ~loose, ConsistencyError, message)
+
+    disagree(residual >= CROSS_CHECK_TOL, lambda k: (
+        f"direct and correlation shifts disagree by {residual[k]:.3e} (squared) at the optimum"))
+    disagree(np.abs(d_val * d_val - d_cor * d_cor) > 1e-10, lambda k: (
+        f"optimized shift {d_val[k]:.12g} does not match its own formula "
+        f"re-evaluation {d_cor[k]:.12g}"))
+    checks.raise_first()
+    return _QubitBForms(d=d_val, beta=beta, merged=merged, eigenvalues=w, basis=basis,
+                        unitary=unitary, in_eigenbasis=in_eig, phi=phi, axis=axis,
+                        residual=residual)
+
+
+def _closed_form_result(state, eps_deg, tol_cyclic):
+    """ShiftResult of the qubit-B closed forms: the N=1 case of the batch."""
+    forms = _qubit_b_closed_forms(state.rho[None], state.dims, eps_deg=eps_deg,
+                                  tol_cyclic=tol_cyclic)
+    w = forms.eigenvalues[0].copy()
+    v = forms.basis[0].copy()
+    w.setflags(write=False)
+    v.setflags(write=False)
+    if forms.merged[0]:
+        spans, method = (slice(0, 2),), "rotation-closed-form"
+    else:
+        spans, method = (slice(0, 1), slice(1, 2)), "phase-closed-form"
+    structure = CommutantStructure(
+        eigenvalues=w, basis=v,
+        blocks=tuple((float(w[span].mean()), tuple(range(2)[span])) for span in spans),
+    )
+    unit = CyclicUnitary(
+        matrix=forms.unitary[0],
+        structure=structure,
+        block_unitaries=tuple(forms.in_eigenbasis[0, span, span] for span in spans),
+        reference_state_id=state.state_id,
+    )
+    return ShiftResult(
+        d=float(forms.d[0]),
+        formula="correlation",
+        method=method,
+        unitary=unit,
+        cross_check_residual=float(forms.residual[0]),
+        restarts=0,
+        certified=True,
+        params={"phi": float(forms.phi[0]), "axis": [float(x) for x in forms.axis[0]]},
     )
 
 
@@ -663,22 +888,24 @@ def d_max(state, *, restarts=16, method="auto", rng=None, eps_deg=EPS_DEGENERATE
     -------
     ShiftResult
     """
-    return _d_max_of_form(state, decompose(state), restarts=restarts, method=method,
-                          rng=rng, eps_deg=eps_deg, max_iters=max_iters,
-                          tol_cyclic=tol_cyclic)
+    return _d_max_of_form(state, None, restarts=restarts, method=method, rng=rng,
+                          eps_deg=eps_deg, max_iters=max_iters, tol_cyclic=tol_cyclic)
 
 
 def _d_max_of_form(state, form, *, restarts=16, method="auto", rng=None,
                    eps_deg=EPS_DEGENERATE, max_iters=None, tol_cyclic=TOL_CYCLIC):
-    """``d_max`` for a caller that already holds the state's Bloch form."""
+    """``d_max`` for a caller that may already hold the state's Bloch form.
+
+    The closed forms compute what they need from the density matrix; the
+    generic optimizer decomposes the state when ``form`` is None.
+    """
     if method not in ("auto", "generic"):
         raise ValueError(f"method must be 'auto' or 'generic', got {method!r}")
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
-    structure = commutant_basis(state, eps_deg)
     if method == "auto" and state.dim_b == 2:
-        if len(structure.blocks) == 2:
-            return _dmax_phase(state, form, structure, tol_cyclic)
-        return _dmax_rotation(state, form, structure, tol_cyclic, eps_deg)
+        return _closed_form_result(state, eps_deg, tol_cyclic)
+    structure = commutant_basis(state, eps_deg)
+    form = decompose(state) if form is None else form
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     return _dmax_generic(state, form, structure, restarts, gen, max_iters, tol_cyclic)

@@ -21,6 +21,10 @@ class NotCyclicError(ValueError):
     """A unitary does not commute with the reduced state it must preserve."""
 
 
+class MergedLevelsError(NotCyclicError):
+    """Levels of rho_B merged by eps_deg break the rotation form's cross-check."""
+
+
 class ConsistencyError(RuntimeError):
     """Two quantities that must agree disagree beyond tolerance."""
 

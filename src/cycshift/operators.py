@@ -7,7 +7,7 @@ matrices are plain numpy arrays with ``dtype=complex``.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -62,6 +62,13 @@ class GeneratorBasis:
 
     def __getitem__(self, i):
         return self.matrices[i]
+
+    @cached_property
+    def stack(self):
+        """The generators as one read-only array of shape (dim**2 - 1, dim, dim)."""
+        out = np.stack(self.matrices)
+        out.setflags(write=False)
+        return out
 
 
 @lru_cache(maxsize=None)
@@ -121,7 +128,8 @@ def partial_trace(rho, dims, keep):
     Parameters
     ----------
     rho : array_like
-        Operator on the composite space, shape (dA*dB, dA*dB).
+        Operator on the composite space, shape (dA*dB, dA*dB), or a stack
+        of them with leading axes.
     dims : tuple of int
         Subsystem dimensions (dA, dB).
     keep : {'A', 'B'}
@@ -130,21 +138,22 @@ def partial_trace(rho, dims, keep):
     Returns
     -------
     numpy.ndarray
-        The reduced operator, shape (dA, dA) or (dB, dB).
+        The reduced operator, shape (dA, dA) or (dB, dB), after the same
+        leading axes.
     """
     da, db = int(dims[0]), int(dims[1])
     rho = np.asarray(rho, dtype=complex)
     if da < 1 or db < 1:
         raise DimensionError(f"subsystem dimensions must be positive, got {dims}")
-    if rho.shape != (da * db, da * db):
+    if rho.ndim < 2 or rho.shape[-2:] != (da * db, da * db):
         raise DimensionError(
             f"operator shape {rho.shape} does not match dims ({da}, {db})"
         )
-    r = rho.reshape(da, db, da, db)
+    r = rho.reshape(*rho.shape[:-2], da, db, da, db)
     if keep == "A":
-        return np.einsum("abcb->ac", r)
+        return np.einsum("...abcb->...ac", r)
     if keep == "B":
-        return np.einsum("abad->bd", r)
+        return np.einsum("...abad->...bd", r)
     raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
 
 

@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from cycshift.bloch import BipartiteState, decompose, reconstruct, reduced_bloch
+from cycshift.bloch import (
+    BipartiteState,
+    _bloch_vectors,
+    bloch_vector,
+    decompose,
+    reconstruct,
+    reduced_bloch,
+)
 from cycshift.errors import DimensionError, NotAStateError
 from cycshift.operators import gell_mann_basis, tensor
 from cycshift.states import (
@@ -162,3 +169,20 @@ def test_reconstruct_rejects_unphysical_form():
     )
     with pytest.raises(NotAStateError):
         reconstruct(bad)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 6])
+def test_bloch_vector_matches_trace_loop(dim):
+    # the contraction sums Tr(rho g) in its own order: bit for bit on a
+    # qubit (at most two nonzero terms), to rounding on larger dimensions
+    rng = np.random.default_rng(dim)
+    rho = random_density(dim, rng)
+    basis = gell_mann_basis(dim)
+    c = math.sqrt(dim / (2.0 * (dim - 1)))
+    loop = np.array([c * np.trace(rho @ g).real for g in basis])
+    got = bloch_vector(rho, basis)
+    if dim == 2:
+        assert np.array_equal(got, loop)
+    assert np.max(np.abs(got - loop)) < 1e-15
+    stack = np.stack([random_density(dim, rng), rho])
+    assert np.array_equal(_bloch_vectors(stack, basis)[1], got)

@@ -8,8 +8,20 @@ import numpy as np
 import pytest
 
 import cycshift
+import cycshift.cli
+import cycshift.cyclic
+from cycshift.bloch import decompose
 from cycshift.cli import main
-from cycshift.states import bell_state, state_to_json
+from cycshift.cyclic import d_max
+from cycshift.errors import NotAStateError
+from cycshift.states import (
+    bell_state,
+    random_state_at,
+    schmidt_state,
+    separable_at,
+    state_to_json,
+    werner_state,
+)
 
 
 def run_cli(capsys, *argv):
@@ -271,3 +283,70 @@ def test_chsh_accepts_restarts(capsys):
     assert code == 0
     _, plain, _ = run_cli(capsys, "chsh", "--state", "schmidt:0.6", "--phi", "1.2")
     assert out == plain
+
+
+def _family_state(family, index, count, seed):
+    if family == "separable":
+        return separable_at(seed, index)[0]
+    if family == "random":
+        return random_state_at(seed, index)
+    value = float(np.linspace(0.0, 1.0, count)[index])
+    if family == "werner-grid":
+        return werner_state(value)
+    return schmidt_state(value, math.sqrt(max(0.0, 1.0 - value * value)))
+
+
+@pytest.mark.parametrize("family", cycshift.cli.SCAN_FAMILIES)
+def test_scan_rows_equal_single_state_results(capsys, family):
+    # the batch and the single-state d_max are one implementation
+    code, out, _ = run_cli(capsys, "scan", "--family", family, "--count", "50",
+                           "--seed", "11", "--format", "json")
+    assert code == 0
+    for row in json.loads(out)["rows"]:
+        state = _family_state(family, row["index"], 50, 11)
+        assert row["d_max"] == d_max(state).d
+        assert row["beta_norm"] == decompose(state).beta_norm
+
+
+@pytest.mark.parametrize("family", cycshift.cli.SCAN_FAMILIES)
+def test_scan_worker_blocks_do_not_change_output(tmp_path, capsys, family):
+    paths = []
+    for workers in ("1", "3"):
+        path = tmp_path / f"{workers}.csv"
+        code, _, _ = run_cli(capsys, "scan", "--family", family, "--count", "37",
+                             "--seed", "5", "--workers", workers, "--out", str(path))
+        assert code == 0
+        paths.append(path)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_scan_cross_check_failure_names_the_row(capsys, monkeypatch):
+    monkeypatch.setattr(cycshift.cyclic, "CROSS_CHECK_TOL", -1.0)
+    code, _, err = run_cli(capsys, "scan", "--family", "random", "--count", "4")
+    assert code == 3
+    assert "row 0: direct and correlation shifts disagree" in err
+
+
+def test_scan_sampling_failure_names_the_row(capsys, monkeypatch):
+    def sampler(seed, index):
+        if index == 2:
+            raise NotAStateError("matrix is not positive semidefinite")
+        return random_state_at(seed, index)
+
+    monkeypatch.setattr(cycshift.cli, "random_state_at", sampler)
+    code, _, err = run_cli(capsys, "scan", "--family", "random", "--count", "4")
+    assert code == 2
+    assert "row 2: matrix is not positive semidefinite" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("dmax", "--state", "schmidt:0.8"),
+    ("detect", "--state", "schmidt:0.8"),
+    ("scan", "--family", "schmidt-grid", "--count", "11"),
+])
+def test_merged_levels_with_loose_tol_cyclic_exit_2(capsys, argv):
+    # eps-deg 0.5 merges distinct levels of rho_B, and tol-cyclic 1.0 lets
+    # the rotation form's non-commuting unitary reach the cross-check
+    code, _, err = run_cli(capsys, *argv, "--eps-deg", "0.5", "--tol-cyclic", "1.0")
+    assert code == 2
+    assert "--eps-deg" in err and "--tol-cyclic" in err

@@ -7,6 +7,7 @@ from cycshift.bloch import BipartiteState, decompose
 from cycshift.cyclic import (
     _conj_b,
     _param_count,
+    _qubit_b_closed_forms,
     _radicand_objective,
     _shift_from_radicand,
     apply_cyclic,
@@ -20,7 +21,7 @@ from cycshift.cyclic import (
     shift_correlation,
     shift_direct,
 )
-from cycshift.errors import ConsistencyError, NotCyclicError, OperatorError
+from cycshift.errors import ConsistencyError, MergedLevelsError, NotCyclicError, OperatorError
 from cycshift.operators import gell_mann_basis, partial_trace, tensor
 from cycshift.states import (
     bell_state,
@@ -29,9 +30,11 @@ from cycshift.states import (
     haar_state_vector,
     haar_unitary,
     maximally_mixed,
+    random_state_at,
     sample_random_state,
     sample_separable,
     schmidt_state,
+    swap_subsystems,
     werner_state,
 )
 
@@ -379,3 +382,63 @@ def test_shift_result_reports_optimizer_effort():
     assert 0.0 <= result.restart_spread < 1e-9
     closed = d_max(schmidt_state(0.6, 0.8))
     assert closed.nfev == 0 and closed.restart_spread == 0.0
+
+
+def test_batch_rows_equal_single_state_dmax():
+    # a mixed batch: phase-form rows, rotation-form rows (Werner, Bell,
+    # maximally mixed) and a product state whose phase family is flat
+    states = [random_state_at(5, 0), werner_state(0.3), random_state_at(5, 1), bell_state(),
+              maximally_mixed((2, 2)), schmidt_state(0.0, 1.0), cc5050(), werner_state(0.9)]
+    forms = _qubit_b_closed_forms(np.stack([s.rho for s in states]), (2, 2))
+    for i, state in enumerate(states):
+        single = d_max(state)
+        assert forms.d[i] == single.d
+        assert forms.residual[i] == single.cross_check_residual
+        assert np.array_equal(forms.unitary[i], single.unitary.matrix)
+        assert forms.merged[i] == (single.method == "rotation-closed-form")
+        assert np.linalg.norm(forms.beta[i]) == decompose(state).beta_norm
+
+
+def test_qutrit_a_side_takes_the_batched_closed_forms():
+    # values printed by the per-state closed forms before they became the
+    # N=1 case of the batch
+    states = [random_state_at(9, i, dims=(3, 2)) for i in range(3)]
+    states.append(swap_subsystems(random_state_at(4, 0, dims=(2, 3))))
+    want = [0.2937806121275084, 0.3201808415079439, 0.3474108990863925, 0.4095755287572705]
+    forms = _qubit_b_closed_forms(np.stack([s.rho for s in states]), (3, 2))
+    for i, state in enumerate(states):
+        result = d_max(state)
+        assert result.method == "phase-closed-form"
+        assert result.d == want[i]
+        assert forms.d[i] == want[i]
+        generic = d_max(state, method="generic", restarts=4, rng=np.random.default_rng(1))
+        assert abs(generic.d - result.d) < 1e-8
+    # rho_B = I/2 on a 3x2 state: the rotation form
+    rng = np.random.default_rng(12)
+    psi = np.zeros(6, dtype=complex)
+    psi[0] = psi[3] = 1.0 / math.sqrt(2.0)
+    psi = np.kron(haar_unitary(3, rng), np.eye(2)) @ psi
+    result = d_max(BipartiteState(np.outer(psi, psi.conj()), (3, 2)))
+    assert result.method == "rotation-closed-form"
+    assert result.d == 1.0
+
+
+def test_batch_names_the_row_whose_cross_check_fails():
+    rhos = np.stack([random_state_at(6, i).rho for i in range(6)])
+    # an anti-Hermitian part with vanishing marginals moves the direct
+    # route but not the correlation matrix
+    rhos[3] += 0.05j * np.kron(PAULI[0], PAULI[2])
+    with pytest.raises(ConsistencyError, match=r"^row 103: direct and correlation"):
+        _qubit_b_closed_forms(rhos, (2, 2), first_index=100)
+    # the lowest failing row is the one reported
+    rhos[1] += 0.05j * np.kron(PAULI[0], PAULI[2])
+    with pytest.raises(ConsistencyError, match=r"^row 101: "):
+        _qubit_b_closed_forms(rhos, (2, 2), first_index=100)
+
+
+def test_merged_levels_are_a_bad_option_not_a_bug():
+    state = schmidt_state(0.8, 0.6)
+    with pytest.raises(MergedLevelsError, match="--eps-deg.*--tol-cyclic"):
+        d_max(state, eps_deg=0.5, tol_cyclic=1.0)
+    assert issubclass(MergedLevelsError, ValueError)
+    assert not issubclass(MergedLevelsError, ConsistencyError)

@@ -1,0 +1,65 @@
+"""Property tests of d_max against oracles that do not use its code."""
+
+import math
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from cycshift.bloch import BipartiteState  # noqa: E402
+from cycshift.cyclic import d_max  # noqa: E402
+
+PAULI = (
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def haar_vector(n, rng):
+    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return z / np.linalg.norm(z)
+
+
+def haar_unitary(n, rng):
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+def random_density(n, rng):
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    rho = g @ g.conj().T
+    return rho / rho.trace().real
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(seeds)
+def test_pure_two_qubit_dmax_gives_the_horodecki_chsh_value(seed):
+    # Horodecki, Horodecki and Horodecki, Phys. Lett. A 200, 340 (1995):
+    # the largest CHSH value of a two-qubit state is 2 sqrt(m1 + m2), the
+    # two largest eigenvalues of T^T T with T_ij = Tr(rho sigma_i sigma_j).
+    psi = haar_vector(4, np.random.default_rng(seed))
+    rho = np.outer(psi, psi.conj())
+    t = np.array([[np.trace(rho @ np.kron(a, b)).real for b in PAULI] for a in PAULI])
+    m = np.linalg.eigvalsh(t.T @ t)
+    horodecki = 2.0 * math.sqrt(m[1] + m[2])
+    d = d_max(BipartiteState(rho, (2, 2))).d
+    assert abs(2.0 * math.sqrt(1.0 + d * d) - horodecki) < 1e-9
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(seeds, st.sampled_from([(2, 2), (3, 2)]))
+def test_dmax_is_invariant_under_local_unitaries(seed, dims):
+    rng = np.random.default_rng(seed)
+    na, nb = dims
+    rho = random_density(na * nb, rng)
+    local = np.kron(haar_unitary(na, rng), haar_unitary(nb, rng))
+    moved = local @ rho @ local.conj().T
+    d = d_max(BipartiteState(rho, dims)).d
+    d_moved = d_max(BipartiteState((moved + moved.conj().T) / 2.0, dims)).d
+    assert abs(d - d_moved) < 1e-9
