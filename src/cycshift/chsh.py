@@ -22,8 +22,8 @@ import numpy as np
 
 from .bloch import decompose
 from .cyclic import (
+    TOL_CYCLIC,
     CyclicUnitary,
-    _cross_matrix,
     _shift_from_radicand,
     apply_cyclic,
     conjugation_matrix,
@@ -99,6 +99,11 @@ def chsh_expectation(state, settings):
 def chsh_from_bloch(beta, t_matrix):
     """F evaluated as the contraction sum_ij beta_ij T_ij."""
     return float(np.sum(np.asarray(beta) * np.asarray(t_matrix)))
+
+
+def _cross_matrix(u):
+    """Matrix of v -> u x v."""
+    return np.array([[0.0, -u[2], u[1]], [u[2], 0.0, -u[0]], [-u[1], u[0], 0.0]])
 
 
 def pauli_conjugate(axis, phi):
@@ -210,7 +215,8 @@ def _optimal_pair(value_fn, flat_message):
     return c1 / n1, c2 / n2
 
 
-def run_protocol(state, u, *, restarts=8, rng=None, tol_match=MATCH_TOL):
+def run_protocol(state, u, *, restarts=8, rng=None, tol_match=MATCH_TOL,
+                 tol_cyclic=TOL_CYCLIC):
     """Reconstruct a cyclic unitary's shift from CHSH data alone.
 
     Stage 1 fixes Bob at sigma_1, sigma_2 and finds Alice's optimal
@@ -229,10 +235,13 @@ def run_protocol(state, u, *, restarts=8, rng=None, tol_match=MATCH_TOL):
 
     ``restarts`` and ``rng`` are accepted for compatibility and have no
     effect: no step of the protocol is a search or draws random numbers.
+    ``tol_cyclic`` is the commutation tolerance of the cyclic-unitary
+    checks, as in ``d_max``.
     """
     if state.dims != (2, 2):
         raise DimensionError(f"protocol needs a two-qubit state, got dims {state.dims}")
-    unit = u if isinstance(u, CyclicUnitary) else cyclic_from_matrix(state, u)
+    unit = (u if isinstance(u, CyclicUnitary)
+            else cyclic_from_matrix(state, u, tol_cyclic=tol_cyclic))
 
     def f_initial(alice_1, alice_2):
         return chsh_expectation(state, MeasurementSettings(
@@ -283,7 +292,7 @@ def run_protocol(state, u, *, restarts=8, rng=None, tol_match=MATCH_TOL):
     diff = beta_0 - beta_f_rec
     estimated_d = _shift_from_radicand(0.125 * float(np.sum(diff * diff)))
 
-    reference = shift_direct(state, unit)
+    reference = shift_direct(state, unit, tol_cyclic=tol_cyclic)
     if abs(estimated_d - reference) > tol_match:
         raise ConsistencyError(
             f"protocol estimate {estimated_d:.9g} disagrees with the direct "

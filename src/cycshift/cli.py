@@ -28,7 +28,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -48,18 +48,6 @@ from .states import (
 
 ENV_PREFIX = "CYCSHIFT_"
 
-DEFAULTS = {
-    "seed": 0,
-    "restarts": 16,
-    "workers": 1,
-    "tol_herm": 1e-10,
-    "tol_psd": 1e-10,
-    "tol_cyclic": 1e-9,
-    "eps_deg": 1e-9,
-    "tol_bound": 1e-9,
-}
-_INT_OPTIONS = {"seed", "restarts", "workers"}
-
 SCAN_FAMILIES = ("separable", "werner-grid", "schmidt-grid", "random")
 SCAN_SCHEMA = "scan-schema=v1"
 SCAN_HEADER = "index,family,param,d_max,beta_norm,ppt_entangled,bound_violated"
@@ -67,7 +55,10 @@ SCAN_HEADER = "index,family,param,d_max,beta_norm,ppt_entangled,bound_violated"
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved numeric options shared by all subcommands."""
+    """Resolved numeric options shared by all subcommands.
+
+    The one table of the options' names, types and built-in defaults.
+    """
 
     seed: int = 0
     restarts: int = 16
@@ -81,8 +72,8 @@ class RunConfig:
 
 def _resolve_config(args):
     values = {}
-    for key, default in DEFAULTS.items():
-        caster = int if key in _INT_OPTIONS else float
+    for field in fields(RunConfig):
+        key, caster = field.name, field.type
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = caster(flag)
@@ -90,7 +81,7 @@ def _resolve_config(args):
         env_name = ENV_PREFIX + key.upper()
         raw = os.environ.get(env_name)
         if raw is None:
-            values[key] = default
+            values[key] = field.default
             continue
         try:
             values[key] = caster(raw)
@@ -106,9 +97,10 @@ def _resolve_config(args):
         raise ValueError(f"restarts must be >= 1, got {config.restarts}")
     if config.workers < 1:
         raise ValueError(f"workers must be >= 1, got {config.workers}")
-    for key in ("tol_herm", "tol_psd", "tol_cyclic", "eps_deg", "tol_bound"):
-        if getattr(config, key) <= 0.0:
-            raise ValueError(f"{key} must be positive, got {getattr(config, key)}")
+    for field in fields(RunConfig):
+        value = getattr(config, field.name)
+        if field.type is float and value <= 0.0:
+            raise ValueError(f"{field.name} must be positive, got {value}")
     return config
 
 
@@ -243,11 +235,11 @@ def _cmd_chsh(args, config):
         tol_cyclic=config.tol_cyclic,
         eps_deg=config.eps_deg,
     )
-    transcript = run_protocol(state, unit)
+    transcript = run_protocol(state, unit, tol_cyclic=config.tol_cyclic)
     payload = {
         "phi": float(args.phi),
         "axis": args.axis,
-        "d_direct": shift_direct(state, unit),
+        "d_direct": shift_direct(state, unit, tol_cyclic=config.tol_cyclic),
     }
     payload.update(transcript.to_json_dict())
     return _json_text(payload)

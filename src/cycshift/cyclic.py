@@ -52,8 +52,6 @@ CROSS_CHECK_TOL = 1e-9
 # The phase family counts as flat when its largest radicand is below
 # this multiple of float epsilon (times max(1, Tr beta^T beta)).
 _FLAT_PHASE_FAMILY = 64.0 * np.finfo(float).eps
-# exp(-i phi/2) and exp(i phi/2) are the two block phases of the phase form.
-_HALF_TURN_SIGNS = np.array([-1j, 1j])
 _IDENTITY_2 = np.eye(2)
 
 
@@ -135,17 +133,27 @@ def commutant_basis(state, eps_deg=EPS_DEGENERATE):
     exactly the set of block unitaries in this eigenbasis.
     """
     w, v = np.linalg.eigh(state.rho_b)
-    threshold = eps_deg * max(1.0, float(np.abs(w).max()))
-    blocks = []
-    start = 0
-    for i in range(1, len(w) + 1):
-        if i == len(w) or w[i] - w[i - 1] >= threshold:
-            idx = tuple(range(start, i))
-            blocks.append((float(w[start:i].mean()), idx))
-            start = i
+    return _structure(w, v, _level_splits(w, eps_deg))
+
+
+def _level_splits(w, eps_deg):
+    """Entry i tells whether ascending levels i and i+1 (last axis) stay apart.
+
+    Levels merge when their gap is below ``eps_deg * max(1, |lambda|max)``.
+    """
+    threshold = eps_deg * np.maximum(1.0, np.abs(w).max(axis=-1))
+    return w[..., 1:] - w[..., :-1] >= threshold[..., None]
+
+
+def _structure(w, v, splits):
+    # The CommutantStructure of eigenvalues w (ascending) and eigenvectors
+    # v, with a block boundary after each level i where splits[i] holds.
+    bounds = [0, *(i + 1 for i, split in enumerate(splits.tolist()) if split), len(w)]
+    blocks = tuple((float(w[start:stop].mean()), tuple(range(start, stop)))
+                   for start, stop in zip(bounds, bounds[1:]))
     w.setflags(write=False)
     v.setflags(write=False)
-    return CommutantStructure(eigenvalues=w, basis=v, blocks=tuple(blocks))
+    return CommutantStructure(eigenvalues=w, basis=v, blocks=blocks)
 
 
 def _assemble(structure, block_unitaries):
@@ -444,19 +452,6 @@ def shift_correlation(form, u, *, tol_cyclic=TOL_CYCLIC):
     return _shift_from_radicand(radicand)
 
 
-def _cross_matrix(u_vec):
-    """Matrix of v -> u x v, for one 3-vector or a stack of them."""
-    u_vec = np.asarray(u_vec, dtype=float)
-    out = np.zeros(u_vec.shape[:-1] + (3, 3))
-    out[..., 0, 1] = -u_vec[..., 2]
-    out[..., 0, 2] = u_vec[..., 1]
-    out[..., 1, 0] = u_vec[..., 2]
-    out[..., 1, 2] = -u_vec[..., 0]
-    out[..., 2, 0] = -u_vec[..., 1]
-    out[..., 2, 1] = u_vec[..., 0]
-    return out
-
-
 def _finalize(state, form, unit, d_value, formula, method, restarts, certified, params,
               tol_cyclic, nfev=0, restart_spread=0.0):
     # Residuals compare squared shifts: the square root amplifies float
@@ -506,97 +501,59 @@ class _QubitBForms:
     residual: np.ndarray
 
 
-def _phase_rows(rows, rhos, rho_b, r_b, mmat, basis, dims, pref, tol_cyclic, checks):
-    # Qubit B with nondegenerate rho_B: the commutant is the relative
-    # phase family exp(i phi/2 u.sigma) about the Bloch axis u of rho_B,
-    # and the correlation contraction is A + B cos(phi) + C sin(phi).
-    m = _take(mmat, rows)
-    r = _take(r_b, rows)
-    u_vec = r / np.sqrt((r[:, None, :] @ r[:, :, None])[:, 0, 0])[:, None]
-    trace_m = np.einsum("nii->n", m)
-    a_term = (u_vec[:, None, :] @ m @ u_vec[:, :, None])[:, 0, 0]
-    b_term = trace_m - a_term
-    c_term = np.einsum("nii->n", m @ _cross_matrix(u_vec))
-    hyp = np.hypot(b_term, c_term)
+def _half_turns(rhos, rho_b, r_b, mmat, basis, merged, dims, pref, tol_cyclic, checks):
+    # Both closed forms are the half turn U = exp(i pi/2 w.sigma) = i w.sigma.
+    # Its conjugation rotates beta into beta (2 w w^T - I), so
+    # d^2 = 2 pref (Tr M - w^T M w) with M = beta^T beta, and only the axis
+    # w differs.  With two levels the commutant is the phase family about
+    # the Bloch axis u of rho_B, whose radicand pref (1 - cos phi)
+    # (Tr M - u^T M u) peaks at phi = pi.  With merged levels every axis
+    # is allowed, and the best one is the least eigenvector of M, where
+    # Tr M - w^T M w is the sum of the two larger eigenvalues.
+    rows = np.arange(len(rhos))
+    # the Bloch axis of rho_B; merged rows take theirs from M below
+    norms = np.sqrt((r_b[:, None, :] @ r_b[:, :, None])[:, 0, 0])
+    axis = r_b / np.where(merged, 1.0, norms)[:, None]
+    trace_m = np.einsum("nii->n", mmat)
+    spread = trace_m - (axis[:, None, :] @ mmat @ axis[:, :, None])[:, 0, 0]
     # When the whole phase family moves the state by no more than float
-    # noise (product states, for one), the stationary angle is garbage;
-    # report the identity (radicand 0, phases 1) as the honest argmax.
-    moving = b_term + hyp > _FLAT_PHASE_FAMILY * np.maximum(1.0, trace_m)
-    d_val = _shifts_from_radicands(np.where(moving, pref * (b_term + hyp), 0.0), rows, checks)
-    phi_star = np.arctan2(c_term, b_term) + math.pi
-    half = phi_star / 2.0
-    phases = np.exp(half[:, None] * _HALF_TURN_SIGNS)
-    phases[~moving] = 1.0
-    checks.fail(rows, np.abs(phases * phases.conj() - 1.0).max(axis=1) > 1e-10,
-                OperatorError, lambda k: "block matrix is not unitary within tolerance")
-    v, sub_rho_b, sub_rhos = _take(basis, rows), _take(rho_b, rows), _take(rhos, rows)
-
-    def candidate(p):
-        # exp(i sign phi/2 u.sigma): its shift, matrix, eigenbasis form
-        # and commutator defect
-        in_eig = np.zeros((len(rows), 2, 2), dtype=complex)
-        in_eig[:, 0, 0] = p[:, 0]
-        in_eig[:, 1, 1] = p[:, 1]
-        u = v @ in_eig @ _adjoint(v)
-        comm = _commutator_defects(sub_rho_b, u)
-        _check_commutes(rows, comm, tol_cyclic, checks)
-        d_dir = _shifts_from_radicands(_direct_radicands(sub_rhos, u, dims), rows, checks)
-        return d_dir, u, in_eig, comm
-
-    # sign = -1 swaps the two phases, and wins only where it moves the
-    # state strictly further than sign = +1.
-    best = candidate(phases)
-    other = candidate(phases[:, ::-1])
-    minus = other[0] > best[0]
-    for kept, new in zip(best, other):
-        kept[minus] = new[minus]
-    phi = np.where(moving, np.where(minus, -phi_star, phi_star), 0.0)
-    d_dir, u, in_eig, comm = best
-    return d_val, phi, u_vec, u, in_eig, d_dir, comm
-
-
-def _rotation_rows(rows, rhos, rho_b, r_b, mmat, basis, dims, pref, tol_cyclic, checks):
-    # Qubit B with rho_B = I/2: the commutant conjugations sweep all of
-    # SO(3) on the correlation matrix, and the optimum is a rotation by
-    # pi about the eigenvector of beta^T beta with smallest eigenvalue.
-    evals, evecs = np.linalg.eigh(_take(mmat, rows))
-    w_vec = evecs[:, :, 0]
-    d_val = _shifts_from_radicands(pref * 2.0 * (evals[:, 1] + evals[:, 2]), rows, checks)
-    h = (w_vec[:, 0, None, None] * SIGMA_1 + w_vec[:, 1, None, None] * SIGMA_2
-         + w_vec[:, 2, None, None] * SIGMA_3)
-    u = 1j * h  # exp(i pi/2 w.sigma)
+    # noise (product states, for one), report the identity (radicand 0,
+    # phases 1) as the honest argmax.
+    moving = 2.0 * spread > _FLAT_PHASE_FAMILY * np.maximum(1.0, trace_m)
+    # On two-level rows U is built in the eigenbasis of rho_B, where it is
+    # diag(-i, i) exactly: rebuilt from the Bloch axis, it leaks between
+    # levels that are only 1e-8 apart.
+    u = np.zeros((len(rows), 2, 2), dtype=complex)
+    in_eig = np.zeros((len(rows), 2, 2), dtype=complex)
+    in_eig[:, 0, 0] = np.where(moving, -1j, 1.0)
+    in_eig[:, 1, 1] = np.where(moving, 1j, 1.0)
+    if merged.any():
+        evals, evecs = np.linalg.eigh(mmat[merged])
+        w_vec = evecs[:, :, 0]
+        axis[merged] = w_vec
+        spread[merged] = evals[:, 1] + evals[:, 2]
+        moving |= merged
+        half_turn = 1j * (w_vec[:, 0, None, None] * SIGMA_1 + w_vec[:, 1, None, None] * SIGMA_2
+                          + w_vec[:, 2, None, None] * SIGMA_3)
+        u[merged] = half_turn
+        v = basis[merged]
+        in_eig[merged] = _adjoint(v) @ half_turn @ v
+    d_val = _shifts_from_radicands(np.where(moving, 2.0 * pref * spread, 0.0), rows, checks)
+    phi = np.where(moving, math.pi, 0.0)
+    recon = basis @ in_eig @ _adjoint(basis)
+    u = np.where(merged[:, None, None], u, recon)
     # The checks of cyclic_from_matrix: unitary, commuting with rho_B,
     # and block diagonal in its eigenbasis.
     checks.fail(rows, np.abs(u @ _adjoint(u) - _IDENTITY_2).max(axis=(1, 2)) > 1e-10,
                 OperatorError, lambda k: "matrix is not unitary within tolerance")
-    comm = _commutator_defects(_take(rho_b, rows), u)
+    comm = _commutator_defects(rho_b, u)
     _check_commutes(rows, comm, tol_cyclic, checks)
-    v = _take(basis, rows)
-    in_eig = _adjoint(v) @ u @ v
-    leak = np.abs(v @ in_eig @ _adjoint(v) - u).max(axis=(1, 2))
+    leak = np.abs(recon - u).max(axis=(1, 2))
     checks.fail(rows, leak > 1e-10, NotCyclicError, lambda k: (
         "matrix couples nearly degenerate eigenspaces of rho_B "
         f"(off-block leakage {leak[k]:.3e})"))
-    d_dir = _shifts_from_radicands(_direct_radicands(_take(rhos, rows), u, dims), rows, checks)
-    return d_val, np.full(len(rows), math.pi), w_vec, u, in_eig, d_dir, comm
-
-
-def _take(a, rows):
-    # ``rows`` ascends without repeats, so a full-length subset is every row.
-    return a if len(rows) == len(a) else a[rows]
-
-
-def _scatter(n, parts):
-    """Per-row outputs of all n rows from outputs on disjoint row subsets."""
-    if len(parts) == 1:
-        return parts[0][1]  # one subset holds every row, in order
-    outs = []
-    for j, first in enumerate(parts[0][1]):
-        out = np.empty((n,) + first.shape[1:], dtype=first.dtype)
-        for rows, values in parts:
-            out[rows] = values[j]
-        outs.append(out)
-    return outs
+    d_dir = _shifts_from_radicands(_direct_radicands(rhos, u, dims), rows, checks)
+    return d_val, phi, axis, u, in_eig, d_dir, comm
 
 
 def _direct_radicands(rhos, u, dims):
@@ -614,15 +571,14 @@ def _qubit_b_closed_forms(rhos, dims, *, eps_deg=EPS_DEGENERATE, tol_cyclic=TOL_
     ``rhos`` has shape (N, 2 dA, 2 dA).  A row whose rho_B has two levels
     (gap at least ``eps_deg * max(1, lambda_max)``, as in
     ``commutant_basis``) takes the phase form, the others the rotation
-    form.  Every row then passes the direct/correlation cross-check and
-    the checks that ``make_cyclic``, ``cyclic_from_matrix``,
-    ``shift_direct``, ``shift_correlation`` and ``beta_final`` make on
-    one state.  The first failure of the lowest failing row is raised,
+    form; both are a half turn, about different axes.  Every row then
+    passes the direct/correlation cross-check and the checks that
+    ``make_cyclic``, ``cyclic_from_matrix``, ``shift_direct``,
+    ``shift_correlation`` and ``beta_final`` make on one state.  The first failure of the lowest failing row is raised,
     named ``row first_index + i`` when ``first_index`` is given.
     """
     na, nb = dims
-    n = len(rhos)
-    everyone = np.arange(n)
+    everyone = np.arange(len(rhos))
     checks = _RowChecks(first_index)
     pauli = gell_mann_basis(2)
     pref = (na - 1) * (nb - 1) / (na * nb)
@@ -632,15 +588,9 @@ def _qubit_b_closed_forms(rhos, dims, *, eps_deg=EPS_DEGENERATE, tol_cyclic=TOL_
     beta = _correlation_matrices(rhos, dims)
     mmat = beta.transpose(0, 2, 1) @ beta
     w, basis = np.linalg.eigh(rho_b)
-    merged = ~(w[:, 1] - w[:, 0] >= eps_deg * np.maximum(1.0, np.abs(w).max(axis=1)))
-
-    parts = []
-    for form, rows in ((_phase_rows, np.flatnonzero(~merged)),
-                       (_rotation_rows, np.flatnonzero(merged))):
-        if len(rows):
-            parts.append((rows, form(rows, rhos, rho_b, r_b, mmat, basis, dims, pref,
-                                     tol_cyclic, checks)))
-    d_val, phi, axis, unitary, in_eig, d_dir, comm = _scatter(n, parts)
+    merged = ~_level_splits(w, eps_deg)[:, 0]
+    d_val, phi, axis, unitary, in_eig, d_dir, comm = _half_turns(
+        rhos, rho_b, r_b, mmat, basis, merged, dims, pref, tol_cyclic, checks)
 
     # _finalize's cross-check.  Residuals compare squared shifts: the
     # square root amplifies float noise without bound as d approaches
@@ -683,22 +633,14 @@ def _closed_form_result(state, eps_deg, tol_cyclic):
     """ShiftResult of the qubit-B closed forms: the N=1 case of the batch."""
     forms = _qubit_b_closed_forms(state.rho[None], state.dims, eps_deg=eps_deg,
                                   tol_cyclic=tol_cyclic)
-    w = forms.eigenvalues[0].copy()
-    v = forms.basis[0].copy()
-    w.setflags(write=False)
-    v.setflags(write=False)
-    if forms.merged[0]:
-        spans, method = (slice(0, 2),), "rotation-closed-form"
-    else:
-        spans, method = (slice(0, 1), slice(1, 2)), "phase-closed-form"
-    structure = CommutantStructure(
-        eigenvalues=w, basis=v,
-        blocks=tuple((float(w[span].mean()), tuple(range(2)[span])) for span in spans),
-    )
+    # the batch split the two levels with _level_splits, as commutant_basis does
+    structure = _structure(forms.eigenvalues[0].copy(), forms.basis[0].copy(), ~forms.merged[:1])
+    method = "rotation-closed-form" if forms.merged[0] else "phase-closed-form"
     unit = CyclicUnitary(
         matrix=forms.unitary[0],
         structure=structure,
-        block_unitaries=tuple(forms.in_eigenbasis[0, span, span] for span in spans),
+        block_unitaries=tuple(forms.in_eigenbasis[0, idx[0]:idx[-1] + 1, idx[0]:idx[-1] + 1]
+                              for _, idx in structure.blocks),
         reference_state_id=state.state_id,
     )
     return ShiftResult(

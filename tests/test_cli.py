@@ -277,6 +277,21 @@ def test_detect_honours_eps_deg_and_tol_cyclic(capsys):
     assert abs(json.loads(out)["d_max"] - 1.0) < 1e-6
 
 
+def test_chsh_honours_tol_cyclic(capsys):
+    # the merged levels admit the x-axis phase operation only to about
+    # their gap; every check of chsh, not only phase_cyclic, must use the flag
+    argv = ("chsh", "--state", "schmidt:0.7071", "--axis", "x", "--phi", "1.0",
+            "--eps-deg", "1e-4")
+    code, out, err = run_cli(capsys, *argv, "--tol-cyclic", "1e-4")
+    assert code == 0, err
+    data = json.loads(out)
+    assert abs(data["d_direct"] - math.sin(0.5)) < 1e-4
+    assert abs(data["estimated_d"] - data["d_direct"]) < 1e-6
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "commutator" in err
+
+
 def test_chsh_accepts_restarts(capsys):
     code, out, _ = run_cli(capsys, "chsh", "--state", "schmidt:0.6",
                            "--phi", "1.2", "--restarts", "3")

@@ -442,3 +442,46 @@ def test_merged_levels_are_a_bad_option_not_a_bug():
         d_max(state, eps_deg=0.5, tol_cyclic=1.0)
     assert issubclass(MergedLevelsError, ValueError)
     assert not issubclass(MergedLevelsError, ConsistencyError)
+
+
+def _half_turn(axis):
+    return 1j * sum(c * sigma for c, sigma in zip(axis, PAULI))
+
+
+def test_qubit_b_optimum_is_the_half_turn_about_its_axis():
+    # Tr(beta^T beta [u]x) vanishes, so the phase form's angle is exactly
+    # pi and its unitary is +i u.sigma, never -i u.sigma by rounding.
+    states = [random_state_at(21, i) for i in range(100)]
+    states += [random_state_at(22, i, dims=(3, 2)) for i in range(100)]
+    for state in states:
+        result = d_max(state)
+        assert result.method == "phase-closed-form"
+        assert result.params["phi"] == math.pi
+        want = _half_turn(result.params["axis"])
+        assert np.abs(result.unitary.matrix - want).max() < 1e-14
+    mixed = [random_state_at(23, 0), werner_state(0.4), bell_state(), maximally_mixed((2, 2)),
+             schmidt_state(0.0, 1.0), cc5050(), random_state_at(23, 1)]
+    forms = _qubit_b_closed_forms(np.stack([s.rho for s in mixed]), (2, 2))
+    flat = forms.d == 0.0
+    assert list(flat) == [False, False, False, True, True, False, False]
+    assert np.all(forms.phi == np.where(flat & ~forms.merged, 0.0, math.pi))
+    for i in range(len(mixed)):
+        want = np.eye(2) if forms.phi[i] == 0.0 else _half_turn(forms.axis[i])
+        assert np.abs(forms.unitary[i] - want).max() < 1e-14
+
+
+@pytest.mark.parametrize("gap", [1e-8, 1e-7, 1e-6])
+def test_nearly_degenerate_levels_keep_the_phase_form(gap):
+    # rho_B levels (1 -+ gap)/2 in a random local frame: the unitary is
+    # built in the eigenbasis of rho_B, so it leaks nowhere between them
+    rng = np.random.default_rng(31)
+    psi = np.zeros(4, dtype=complex)
+    psi[0] = math.sqrt(0.5 + gap / 2.0)
+    psi[3] = math.sqrt(0.5 - gap / 2.0)
+    for _ in range(20):
+        moved = np.kron(haar_unitary(2, rng), haar_unitary(2, rng)) @ psi
+        rho = np.outer(moved, moved.conj())
+        result = d_max(BipartiteState((rho + rho.conj().T) / 2.0, (2, 2)))
+        assert result.method == "phase-closed-form"
+        assert result.params["phi"] == math.pi
+        assert abs(result.d - math.sqrt(1.0 - gap * gap)) < 1e-9

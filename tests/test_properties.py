@@ -9,7 +9,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from cycshift.bloch import BipartiteState  # noqa: E402
-from cycshift.cyclic import d_max  # noqa: E402
+from cycshift.cyclic import commutant_basis, d_max, make_cyclic, shift_direct  # noqa: E402
 
 PAULI = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -63,3 +63,27 @@ def test_dmax_is_invariant_under_local_unitaries(seed, dims):
     d = d_max(BipartiteState(rho, dims)).d
     d_moved = d_max(BipartiteState((moved + moved.conj().T) / 2.0, dims)).d
     assert abs(d - d_moved) < 1e-9
+
+
+def werner(p):
+    singlet = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
+    return p * np.outer(singlet, singlet) + (1.0 - p) * np.eye(4) / 4.0
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(seeds, st.sampled_from(["2x2", "3x2", "werner"]))
+def test_dmax_bounds_every_cyclic_unitary(seed, kind):
+    # a Haar unitary on each commutant block of rho_B moves the state by
+    # no more than d_max
+    rng = np.random.default_rng(seed)
+    if kind == "werner":
+        state = BipartiteState(werner(rng.uniform()), (2, 2))
+    else:
+        dims = (2, 2) if kind == "2x2" else (3, 2)
+        state = BipartiteState(random_density(dims[0] * dims[1], rng), dims)
+    structure = commutant_basis(state)
+    best = d_max(state).d
+    for _ in range(5):
+        blocks = [haar_unitary(size, rng) for size in structure.block_sizes]
+        unit = make_cyclic(state, blocks, structure=structure)
+        assert best >= shift_direct(state, unit) - 1e-12
