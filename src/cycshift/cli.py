@@ -23,11 +23,11 @@ bug or a numerically hostile input, never a normal outcome).
 """
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -305,6 +305,9 @@ def _cmd_scan(args, config):
     if len(tasks) == 1:
         blocks = [_scan_rows(tasks[0])]
     else:
+        # loaded here: only a scan with several workers needs the process pool
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
             blocks = list(pool.map(_scan_rows, tasks))
     rows = [row for block in blocks for row in block]
@@ -348,8 +351,9 @@ def _add_config_flags(parser):
                         help="base seed for samplers and optimizer restarts")
     parser.add_argument("--restarts", type=int, default=None,
                         help="multi-start count for the generic d_max optimizer "
-                             "(no effect on chsh, whose optimum is exact, or on the "
-                             "two-qubit scan families)")
+                             "(no effect where d_max has a closed form: a qubit B side, "
+                             "a nondegenerate qutrit B side, the two-qubit scan "
+                             "families; nor on chsh, whose optimum is exact)")
     parser.add_argument("--workers", type=int, default=None,
                         help="parallel worker processes (scan only; each computes "
                              "one contiguous block of rows)")
@@ -367,7 +371,13 @@ def _add_config_flags(parser):
                         help="write the report to this file instead of stdout")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The argument parser, built once per process.
+
+    It holds no environment state: ``_resolve_config`` reads the
+    ``CYCSHIFT_*`` variables on every call.
+    """
     parser = argparse.ArgumentParser(
         prog="cycshift",
         description="State shifts of bipartite systems under local cyclic operations.",

@@ -50,7 +50,8 @@ RADICAND_FLOOR = -1e-12
 RADICAND_CEILING = 1.0 + 1e-12
 CROSS_CHECK_TOL = 1e-9
 # The phase family counts as flat when its largest radicand is below
-# this multiple of float epsilon (times max(1, Tr beta^T beta)).
+# this multiple of float epsilon (times max(1, Tr beta^T beta) on a qubit
+# B side, max(1, sum J) on a qutrit one).
 _FLAT_PHASE_FAMILY = 64.0 * np.finfo(float).eps
 _IDENTITY_2 = np.eye(2)
 
@@ -516,9 +517,13 @@ def _half_turns(rhos, rho_b, r_b, mmat, basis, merged, dims, pref, tol_cyclic, c
     axis = r_b / np.where(merged, 1.0, norms)[:, None]
     trace_m = np.einsum("nii->n", mmat)
     spread = trace_m - (axis[:, None, :] @ mmat @ axis[:, :, None])[:, 0, 0]
-    # When the whole phase family moves the state by no more than float
-    # noise (product states, for one), report the identity (radicand 0,
-    # phases 1) as the honest argmax.
+    if merged.any():
+        evals, evecs = np.linalg.eigh(mmat[merged])
+        axis[merged] = evecs[:, :, 0]
+        spread[merged] = evals[:, 1] + evals[:, 2]
+    # When the whole family moves the state by no more than float noise
+    # (product states and rho = I/4, for two), report the identity
+    # (radicand 0, phases 1) as the honest argmax.
     moving = 2.0 * spread > _FLAT_PHASE_FAMILY * np.maximum(1.0, trace_m)
     # On two-level rows U is built in the eigenbasis of rho_B, where it is
     # diag(-i, i) exactly: rebuilt from the Bloch axis, it leaks between
@@ -527,17 +532,15 @@ def _half_turns(rhos, rho_b, r_b, mmat, basis, merged, dims, pref, tol_cyclic, c
     in_eig = np.zeros((len(rows), 2, 2), dtype=complex)
     in_eig[:, 0, 0] = np.where(moving, -1j, 1.0)
     in_eig[:, 1, 1] = np.where(moving, 1j, 1.0)
-    if merged.any():
-        evals, evecs = np.linalg.eigh(mmat[merged])
-        w_vec = evecs[:, :, 0]
-        axis[merged] = w_vec
-        spread[merged] = evals[:, 1] + evals[:, 2]
-        moving |= merged
+    turning = merged & moving
+    if turning.any():
+        w_vec = axis[turning]
         half_turn = 1j * (w_vec[:, 0, None, None] * SIGMA_1 + w_vec[:, 1, None, None] * SIGMA_2
                           + w_vec[:, 2, None, None] * SIGMA_3)
-        u[merged] = half_turn
-        v = basis[merged]
-        in_eig[merged] = _adjoint(v) @ half_turn @ v
+        u[turning] = half_turn
+        v = basis[turning]
+        in_eig[turning] = _adjoint(v) @ half_turn @ v
+    u[merged & ~moving] = _IDENTITY_2
     d_val = _shifts_from_radicands(np.where(moving, 2.0 * pref * spread, 0.0), rows, checks)
     phi = np.where(moving, math.pi, 0.0)
     recon = basis @ in_eig @ _adjoint(basis)
@@ -687,6 +690,17 @@ def _blocks_from_params(params, sizes):
     return [expi_hermitian(h) for h in _hermitians_from_params(params, sizes)]
 
 
+def _phase_weights(rho_rot, dims):
+    """W_ij = sum_{a,a'} |rho_(a i),(a' j)|^2 for a state in the eigenbasis of rho_B.
+
+    U = diag(exp(i theta)) moves entry (a i, a' j) by the phase
+    theta_i - theta_j, so its radicand is
+    R = sum_ij W_ij (1 - cos(theta_i - theta_j)).
+    """
+    na, nb = dims
+    return (np.abs(rho_rot.reshape(na, nb, na, nb)) ** 2).sum(axis=(0, 2))
+
+
 def _radicand_objective(rho_rot, dims, sizes):
     """The shift radicand over block parameters, with its gradient.
 
@@ -697,9 +711,7 @@ def _radicand_objective(rho_rot, dims, sizes):
     """
     na, nb = dims
     if all(s == 1 for s in sizes):
-        # U = diag(exp(i theta)) moves entry (a i, a' j) by the phase
-        # theta_i - theta_j, so R = sum_ij W_ij (1 - cos(theta_i - theta_j)).
-        weights = (np.abs(rho_rot.reshape(na, nb, na, nb)) ** 2).sum(axis=(0, 2))
+        weights = _phase_weights(rho_rot, dims)
 
         def objective(params):
             theta = np.concatenate(([0.0], params))
@@ -797,6 +809,55 @@ def _dmax_generic(state, form, structure, restarts, rng, max_iters, tol_cyclic,
     )
 
 
+def _qutrit_phases(weights):
+    """The largest radicand of a qutrit phase family and phases that reach it.
+
+    With J = W + W^T the radicand is
+    R = sum_{i<j} J_ij (1 - cos(theta_i - theta_j)), a three-spin XY
+    triangle.  Turning spin k by pi against the other two gives
+    R = 2 (J_ki + J_kj).  When every J_ij > 0, write J_ij = c_i c_j; then
+    sum_{i<j} J_ij cos = |sum_i c_i e^{i theta_i}|^2 / 2 - sum_i c_i^2 / 2,
+    and when the c_i satisfy the strict triangle inequality the vectors
+    c_i e^{i theta_i} close a triangle, giving R = sum J + sum_i c_i^2 / 2.
+    Otherwise a collinear state is optimal.  Each candidate is a sum of
+    nonnegative terms, and a zero or tiny coupling only rules out the
+    noncollinear one.  Phases are relative to theta_0 = 0.
+    """
+    j = weights + weights.T
+    j01, j02, j12 = float(j[0, 1]), float(j[0, 2]), float(j[1, 2])
+    total = j01 + j02 + j12
+    candidates = [(2.0 * (j01 + j02), [0.0, math.pi, math.pi]),
+                  (2.0 * (j01 + j12), [0.0, math.pi, 0.0]),
+                  (2.0 * (j02 + j12), [0.0, 0.0, math.pi])]
+    if min(j01, j02, j12) > 0.0:
+        sq0, sq1, sq2 = j01 * j02 / j12, j01 * j12 / j02, j02 * j12 / j01  # the c_i^2
+        c = [math.sqrt(x) for x in (sq0, sq1, sq2)]
+        if 2.0 * max(c) < sum(c):
+            # law of cosines in the closed triangle, with theta_0 = 0 and
+            # c_0 c_1 = J_01, c_0 c_2 = J_02
+            theta1 = math.acos(min(1.0, max(-1.0, (sq2 - sq0 - sq1) / (2.0 * j01))))
+            theta2 = -math.acos(min(1.0, max(-1.0, (sq1 - sq0 - sq2) / (2.0 * j02))))
+            candidates.append((total + 0.5 * (sq0 + sq1 + sq2), [0.0, theta1, theta2]))
+    radicand, phases = max(candidates, key=lambda item: item[0])
+    # When no phase moves the state by more than float noise, report the
+    # identity, as the qubit closed forms do.
+    if radicand <= _FLAT_PHASE_FAMILY * max(1.0, total):
+        return 0.0, [0.0, 0.0, 0.0]
+    return radicand, phases
+
+
+def _dmax_qutrit_phases(state, form, structure, tol_cyclic):
+    rho_rot = _conj_b(state.rho, structure.basis.conj().T, state.dims)
+    radicand, phases = _qutrit_phases(_phase_weights(rho_rot, state.dims))
+    unit = make_cyclic(state, _blocks_from_params(phases[1:], structure.block_sizes),
+                       structure=structure)
+    return _finalize(
+        state, form, unit, _shift_from_radicand(radicand), "direct",
+        "qutrit-phase-closed-form", restarts=0, certified=True,
+        params={"phases": phases}, tol_cyclic=tol_cyclic,
+    )
+
+
 def d_max(state, *, restarts=16, method="auto", rng=None, eps_deg=EPS_DEGENERATE,
           max_iters=None, tol_cyclic=TOL_CYCLIC):
     """Maximize the shift over all cyclic unitaries on subsystem B.
@@ -809,9 +870,11 @@ def d_max(state, *, restarts=16, method="auto", rng=None, eps_deg=EPS_DEGENERATE
         closed forms).
     method : {'auto', 'generic'}
         'auto' dispatches a qubit B subsystem to a closed form (phase
-        family for nondegenerate rho_B, rotation form for rho_B = I/2)
-        and anything else to the multi-start optimizer.  'generic'
-        forces the optimizer.
+        family for nondegenerate rho_B, rotation form for rho_B = I/2),
+        a qutrit B subsystem with three distinct levels of rho_B to the
+        exact phase-triangle maximum ('qutrit-phase-closed-form'), and
+        anything else (degenerate qutrit levels, dB >= 4) to the
+        multi-start optimizer.  'generic' forces the optimizer.
     rng : int, numpy Generator or None
         Seed material for the optimizer restarts.
     eps_deg : float
@@ -838,8 +901,9 @@ def _d_max_of_form(state, form, *, restarts=16, method="auto", rng=None,
                    eps_deg=EPS_DEGENERATE, max_iters=None, tol_cyclic=TOL_CYCLIC):
     """``d_max`` for a caller that may already hold the state's Bloch form.
 
-    The closed forms compute what they need from the density matrix; the
-    generic optimizer decomposes the state when ``form`` is None.
+    The qubit closed forms compute what they need from the density
+    matrix; the qutrit closed form and the generic optimizer decompose
+    the state when ``form`` is None.
     """
     if method not in ("auto", "generic"):
         raise ValueError(f"method must be 'auto' or 'generic', got {method!r}")
@@ -849,5 +913,7 @@ def _d_max_of_form(state, form, *, restarts=16, method="auto", rng=None,
         return _closed_form_result(state, eps_deg, tol_cyclic)
     structure = commutant_basis(state, eps_deg)
     form = decompose(state) if form is None else form
+    if method == "auto" and structure.block_sizes == (1, 1, 1):
+        return _dmax_qutrit_phases(state, form, structure, tol_cyclic)
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     return _dmax_generic(state, form, structure, restarts, gen, max_iters, tol_cyclic)

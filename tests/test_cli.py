@@ -365,3 +365,42 @@ def test_merged_levels_with_loose_tol_cyclic_exit_2(capsys, argv):
     code, _, err = run_cli(capsys, *argv, "--eps-deg", "0.5", "--tol-cyclic", "1.0")
     assert code == 2
     assert "--eps-deg" in err and "--tol-cyclic" in err
+
+
+def test_each_main_call_reads_its_own_environment(capsys, monkeypatch):
+    # the parser is built once per process; the environment is read per call
+    for restarts in (2, 5):
+        monkeypatch.setenv("CYCSHIFT_RESTARTS", str(restarts))
+        code, out, _ = run_cli(capsys, "dmax", "--state", "maxmixed:2x3")
+        assert code == 0
+        data = json.loads(out)
+        assert data["method"] == "multistart"
+        assert data["restarts"] == restarts
+
+
+def _probe(code):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cycshift.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout.split()
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    loaded = _probe("import sys, cycshift.cli; "
+                    "print('concurrent.futures.process' in sys.modules)")
+    assert loaded == ["False"]
+
+
+def test_scan_loads_the_process_pool_only_for_several_workers(tmp_path):
+    paths = [tmp_path / f"{workers}.csv" for workers in (1, 2)]
+    probe = "\n".join([
+        "import sys",
+        "from cycshift.cli import main",
+        "for workers, path in ((1, %r), (2, %r)):" % tuple(str(p) for p in paths),
+        "    main(['scan', '--family', 'random', '--count', '20', '--seed', '3',",
+        "          '--workers', str(workers), '--out', path])",
+        "    print('concurrent.futures.process' in sys.modules)",
+    ])
+    assert _probe(probe) == ["False", "True"]
+    assert paths[0].read_bytes() == paths[1].read_bytes()

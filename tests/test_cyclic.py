@@ -248,7 +248,7 @@ def test_generic_optimizer_matches_closed_forms():
 
 def test_dmax_generic_path_for_larger_b():
     state = next(sample_random_state(53, dims=(2, 3), count=1))
-    result = d_max(state, restarts=6, rng=np.random.default_rng(5))
+    result = d_max(state, restarts=6, rng=np.random.default_rng(5), method="generic")
     assert result.method == "multistart"
     achieved = shift_direct(state, result.unitary)
     assert abs(achieved - result.d) < 1e-9
@@ -377,7 +377,7 @@ def test_generic_dmax_beats_phase_grid():
 
 def test_shift_result_reports_optimizer_effort():
     state = next(sample_random_state(79, dims=(2, 3), count=1))
-    result = d_max(state, restarts=4, rng=np.random.default_rng(2))
+    result = d_max(state, restarts=4, rng=np.random.default_rng(2), method="generic")
     assert result.nfev >= 5
     assert 0.0 <= result.restart_spread < 1e-9
     closed = d_max(schmidt_state(0.6, 0.8))
@@ -464,7 +464,7 @@ def test_qubit_b_optimum_is_the_half_turn_about_its_axis():
     forms = _qubit_b_closed_forms(np.stack([s.rho for s in mixed]), (2, 2))
     flat = forms.d == 0.0
     assert list(flat) == [False, False, False, True, True, False, False]
-    assert np.all(forms.phi == np.where(flat & ~forms.merged, 0.0, math.pi))
+    assert np.all(forms.phi == np.where(flat, 0.0, math.pi))
     for i in range(len(mixed)):
         want = np.eye(2) if forms.phi[i] == 0.0 else _half_turn(forms.axis[i])
         assert np.abs(forms.unitary[i] - want).max() < 1e-14
@@ -485,3 +485,59 @@ def test_nearly_degenerate_levels_keep_the_phase_form(gap):
         assert result.method == "phase-closed-form"
         assert result.params["phi"] == math.pi
         assert abs(result.d - math.sqrt(1.0 - gap * gap)) < 1e-9
+
+
+def _rho_b_eigenbasis_j01(rho):
+    # J_01 = 2 sum_{a,a'} |rho_(a 0),(a' 1)|^2 in the eigenbasis of rho_B
+    blocks = rho.reshape(2, 2, 2, 2)
+    _, v = np.linalg.eigh(np.einsum("aiaj->ij", blocks))
+    rotated = np.einsum("ki,aibj,jl->akbl", v.conj().T, blocks, v)
+    return 2.0 * float((np.abs(rotated[:, 0, :, 1]) ** 2).sum())
+
+
+def test_qubit_b_closed_form_is_the_phase_triangle_with_one_coupling():
+    # with two levels the radicand is J_01 (1 - cos theta), so d^2 = 2 J_01
+    for i in range(50):
+        state = random_state_at(41, i)
+        assert commutant_basis(state).block_sizes == (1, 1)
+        assert abs(d_max(state).d ** 2 - 2.0 * _rho_b_eigenbasis_j01(state.rho)) < 1e-12
+
+
+@pytest.mark.parametrize("q", [1e-6, 1e-12])
+def test_qutrit_closed_form_with_zero_and_tiny_couplings(q):
+    # 0.6 |Phi><Phi| + q |0,2><0,2| + (0.4 - q) |1,0><1,0| couples only the
+    # B levels 0 and 1, so J_02 = J_12 = 0 up to rounding in the eigenbasis
+    phi = np.zeros(6)
+    phi[0] = phi[4] = 1.0 / math.sqrt(2.0)
+    rho = 0.6 * np.outer(phi, phi) + q * np.diag(np.eye(6)[2]) + (0.4 - q) * np.diag(np.eye(6)[3])
+    state = BipartiteState(rho.astype(complex), (2, 3))
+    result = d_max(state)
+    assert result.method == "qutrit-phase-closed-form"
+    assert math.isfinite(result.d) and all(math.isfinite(t) for t in result.params["phases"])
+    assert abs(result.d - 0.6) < 1e-12
+    assert abs(result.d - d_max(state, method="generic", rng=0).d) < 1e-10
+
+
+def test_qutrit_closed_form_on_a_schmidt_state():
+    # sqrt(0.5)|00> + sqrt(0.3)|11> + sqrt(0.2)|22>: J_ij = 2 p_i p_j and
+    # c_i = sqrt(2) p_i sit on the triangle's boundary, 2 c_0 = sum c, and
+    # turning level 0 by pi gives R = 4 p_0 (p_1 + p_2) = 1
+    psi = np.zeros(9)
+    for k, p in enumerate((0.5, 0.3, 0.2)):
+        psi[4 * k] = math.sqrt(p)
+    state = BipartiteState(np.outer(psi, psi).astype(complex), (3, 3))
+    result = d_max(state)
+    assert result.method == "qutrit-phase-closed-form"
+    assert result.restarts == 0 and result.nfev == 0 and result.restart_spread == 0.0
+    assert abs(result.d - 1.0) < 1e-12
+    assert abs(result.d - d_max(state, method="generic", rng=0).d) < 1e-10
+
+
+def test_qutrit_b_with_a_degenerate_pair_takes_the_optimizer():
+    psi = np.zeros(9)
+    for k, p in enumerate((0.4, 0.4, 0.2)):
+        psi[4 * k] = math.sqrt(p)
+    state = BipartiteState(np.outer(psi, psi).astype(complex), (3, 3))
+    result = d_max(state, restarts=2, rng=0)
+    assert result.unitary.structure.block_sizes == (1, 2)
+    assert result.method == "multistart"

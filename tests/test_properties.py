@@ -87,3 +87,24 @@ def test_dmax_bounds_every_cyclic_unitary(seed, kind):
         blocks = [haar_unitary(size, rng) for size in structure.block_sizes]
         unit = make_cyclic(state, blocks, structure=structure)
         assert best >= shift_direct(state, unit) - 1e-12
+
+
+def random_density_of_rank(n, rank, rng):
+    g = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
+    rho = g @ g.conj().T
+    return rho / rho.trace().real
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(seeds, st.sampled_from([2, 3, 4]), st.sampled_from([1, 2, None]))
+def test_qutrit_closed_form_matches_the_optimizer(seed, na, rank):
+    rng = np.random.default_rng(seed)
+    n = 3 * na
+    state = BipartiteState(random_density_of_rank(n, rank or n, rng), (na, 3))
+    assert commutant_basis(state).block_sizes == (1, 1, 1)
+    result = d_max(state)
+    assert result.method == "qutrit-phase-closed-form"
+    assert result.certified
+    assert abs(result.d - d_max(state, method="generic", rng=seed).d) < 1e-10
+    u = result.unitary.matrix
+    assert np.abs(state.rho_b @ u - u @ state.rho_b).max() < 1e-12
