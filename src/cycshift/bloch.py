@@ -137,18 +137,60 @@ def _coeff_beta(na, nb):
     return np.sqrt(na * nb / (4.0 * (na - 1) * (nb - 1)))
 
 
+@dataclass(frozen=True, eq=False)
+class _BetaTerms:
+    """Nonzero entries of every product g_i (x) g_j, sorted by (pair, k, l).
+
+    ``pair`` is the flat index i * len(basis_b) + j, ``source`` the flat
+    index of rho[l, k], ``target`` that of entry (k, l), and ``value`` the
+    product entry.  For a fixed pair the terms run in C order over (k, l),
+    and for a fixed (k, l) in C order over (i, j).  Adding them one after
+    another in table order therefore gives, bit for bit, what the dense
+    contractions einsum("ijkl,...lk->...ij") and einsum("ij,ijkl->kl")
+    over the stack of every g_i (x) g_j give, without that stack's
+    (na^2-1)(nb^2-1)(na nb)^2 entries.
+    """
+
+    shape: tuple
+    pair: np.ndarray
+    source: np.ndarray
+    target: np.ndarray
+    value: np.ndarray
+
+    @property
+    def size(self):
+        return self.shape[0] * self.shape[1]
+
+
+def _build_beta_terms(stack_a, stack_b):
+    # Every nonzero of an A-side generator times every nonzero of a B-side
+    # one, the entry ga[p, q] * gb[r, s] of ga (x) gb at (p nb + r, q nb + s).
+    nb = stack_b.shape[1]
+    n = stack_a.shape[1] * nb
+    ia, pa, qa = np.nonzero(stack_a)
+    ib, pb, qb = np.nonzero(stack_b)
+    pair = (ia[:, None] * len(stack_b) + ib).ravel()
+    k = (pa[:, None] * nb + pb).ravel()
+    l = (qa[:, None] * nb + qb).ravel()
+    value = (stack_a[ia, pa, qa][:, None] * stack_b[ib, pb, qb]).ravel()
+    order = np.lexsort((l, k, pair))
+    pair, k, l, value = pair[order], k[order], l[order], value[order]
+    tables = (pair, l * n + k, k * n + l, value)
+    for table in tables:
+        table.setflags(write=False)
+    return _BetaTerms((len(stack_a), len(stack_b)), *tables)
+
+
 @lru_cache(maxsize=None)
-def _pair_stack(na, nb):
-    """Array of g_i (x) g_j products, shape (na^2-1, nb^2-1, na*nb, na*nb)."""
-    ba = gell_mann_basis(na)
-    bb = gell_mann_basis(nb)
-    n = na * nb
-    out = np.empty((len(ba), len(bb), n, n), dtype=complex)
-    for i, ga in enumerate(ba):
-        for j, gb in enumerate(bb):
-            out[i, j] = tensor(ga, gb)
-    out.setflags(write=False)
-    return out
+def _gell_mann_beta_terms(na, nb):
+    return _build_beta_terms(gell_mann_basis(na).stack, gell_mann_basis(nb).stack)
+
+
+def _beta_terms(basis_a, basis_b):
+    # Term tables of the two bases; only the canonical ones are cached.
+    if basis_a is gell_mann_basis(basis_a.dim) and basis_b is gell_mann_basis(basis_b.dim):
+        return _gell_mann_beta_terms(basis_a.dim, basis_b.dim)
+    return _build_beta_terms(basis_a.stack, basis_b.stack)
 
 
 def bloch_vector(rho_reduced, basis):
@@ -167,10 +209,20 @@ def _bloch_vectors(rho_reduced, basis):
     return _coeff_r(basis.dim) * np.einsum("...ij,kji->...k", rho_reduced, basis.stack).real
 
 
-def _correlation_matrices(rho, dims):
-    # beta of a density matrix, or of each matrix of a stack.
-    na, nb = dims
-    return _coeff_beta(na, nb) * np.einsum("ijkl,...lk->...ij", _pair_stack(na, nb), rho).real
+def _correlation_matrices(rho, basis_a, basis_b):
+    # beta of a density matrix, or of each matrix of a stack: each term
+    # value * rho[..., l, k] is added into its (i, j) in table order.
+    terms = _beta_terms(basis_a, basis_b)
+    lead = rho.shape[:-2]
+    flat = rho.reshape(-1, rho.shape[-1] ** 2)
+    count = len(flat)
+    index = terms.pair
+    if count != 1:
+        # a block of terms.size outputs per matrix of the stack
+        index = (index + terms.size * np.arange(count)[:, None]).ravel()
+    prod = (terms.value * flat.take(terms.source, axis=1)).real
+    beta = np.bincount(index, prod.ravel(), terms.size * count)
+    return _coeff_beta(basis_a.dim, basis_b.dim) * beta.reshape(lead + terms.shape)
 
 
 def decompose(state, basis_a=None, basis_b=None):
@@ -196,7 +248,7 @@ def decompose(state, basis_a=None, basis_b=None):
         )
     r_a = bloch_vector(state.rho_a, basis_a)
     r_b = bloch_vector(state.rho_b, basis_b)
-    beta = _correlation_matrices(state.rho, state.dims)
+    beta = _correlation_matrices(state.rho, basis_a, basis_b)
     r_a.setflags(write=False)
     r_b.setflags(write=False)
     beta.setflags(write=False)
@@ -231,7 +283,10 @@ def reconstruct(form, *, tol_psd=1e-10):
     for j, gb in enumerate(basis_b):
         if r_b[j] != 0.0:
             rho += cb * r_b[j] * tensor(eye_a, gb)
-    rho += ca * cb * np.einsum("ij,ijkl->kl", beta, _pair_stack(na, nb))
+    terms = _beta_terms(basis_a, basis_b)
+    corr = np.zeros(n * n, dtype=complex)
+    np.add.at(corr, terms.target, beta.ravel()[terms.pair] * terms.value)
+    rho += ca * cb * corr.reshape(n, n)
     rho /= float(n)
     return BipartiteState(rho, (na, nb), tol_psd=tol_psd)
 

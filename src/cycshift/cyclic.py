@@ -588,7 +588,7 @@ def _qubit_b_closed_forms(rhos, dims, *, eps_deg=EPS_DEGENERATE, tol_cyclic=TOL_
 
     rho_b = partial_trace(rhos, dims, "B")
     r_b = _bloch_vectors(rho_b, pauli)
-    beta = _correlation_matrices(rhos, dims)
+    beta = _correlation_matrices(rhos, gell_mann_basis(na), pauli)
     mmat = beta.transpose(0, 2, 1) @ beta
     w, basis = np.linalg.eigh(rho_b)
     merged = ~_level_splits(w, eps_deg)[:, 0]

@@ -1,23 +1,28 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from cycshift.bloch import (
     BipartiteState,
+    BlochForm,
     _bloch_vectors,
+    _correlation_matrices,
+    _gell_mann_beta_terms,
     bloch_vector,
     decompose,
     reconstruct,
     reduced_bloch,
 )
 from cycshift.errors import DimensionError, NotAStateError
-from cycshift.operators import gell_mann_basis, tensor
+from cycshift.operators import GeneratorBasis, gell_mann_basis, tensor
 from cycshift.states import (
     bell_state,
     cc5050,
     ensemble_state,
     haar_state_vector,
+    maximally_mixed,
     sample_random_state,
     schmidt_state,
 )
@@ -186,3 +191,91 @@ def test_bloch_vector_matches_trace_loop(dim):
     assert np.max(np.abs(got - loop)) < 1e-15
     stack = np.stack([random_density(dim, rng), rho])
     assert np.array_equal(_bloch_vectors(stack, basis)[1], got)
+
+
+def dense_pair_stack(na, nb):
+    # every g_i (x) g_j as one dense array: the oracle the term tables replace
+    return np.array([[np.kron(ga, gb) for gb in gell_mann_basis(nb)]
+                     for ga in gell_mann_basis(na)])
+
+
+ORACLE_DIMS = [(2, 2), (2, 3), (3, 2), (3, 3), (4, 4), (3, 6), (6, 6)]
+
+
+@pytest.mark.parametrize("dims", ORACLE_DIMS)
+def test_correlation_matrices_match_the_dense_contraction_bit_for_bit(dims):
+    na, nb = dims
+    n = na * nb
+    rng = np.random.default_rng(n)
+    pairs = dense_pair_stack(na, nb)
+    coeff = math.sqrt(na * nb / (4.0 * (na - 1) * (nb - 1)))
+    basis_a, basis_b = gell_mann_basis(na), gell_mann_basis(nb)
+    for _ in range(5):
+        rho = random_density(n, rng)
+        want = coeff * np.einsum("ijkl,lk->ij", pairs, rho).real
+        assert np.array_equal(_correlation_matrices(rho, basis_a, basis_b), want)
+    stack = np.stack([random_density(n, rng) for _ in range(6)])
+    want = coeff * np.einsum("ijkl,...lk->...ij", pairs, stack).real
+    assert np.array_equal(_correlation_matrices(stack, basis_a, basis_b), want)
+    # a stack of one matrix, as d_max passes, and an empty stack
+    assert np.array_equal(_correlation_matrices(stack[:1], basis_a, basis_b), want[:1])
+    assert _correlation_matrices(stack[:0], basis_a, basis_b).shape == (0,) + pairs.shape[:2]
+
+
+@pytest.mark.parametrize("dims", ORACLE_DIMS)
+def test_reconstruct_beta_term_matches_the_dense_scatter_bit_for_bit(dims):
+    na, nb = dims
+    n = na * nb
+    rng = np.random.default_rng(100 + n)
+    pairs = dense_pair_stack(na, nb)
+    cab = math.sqrt(na * (na - 1) / 2.0) * math.sqrt(nb * (nb - 1) / 2.0)
+    for _ in range(3):
+        # each |g_i (x) g_j| < 2, so I + cab * sum beta_ij g_i (x) g_j stays positive
+        shape = pairs.shape[:2]
+        beta = rng.uniform(-1.0, 1.0, shape) / (2.0 * cab * shape[0] * shape[1])
+        form = BlochForm(r_a=np.zeros(na * na - 1), r_b=np.zeros(nb * nb - 1), beta=beta,
+                         dim_a=na, dim_b=nb)
+        want = np.eye(n, dtype=complex)
+        want += cab * np.einsum("ij,ijkl->kl", beta, pairs)
+        want /= float(n)
+        assert np.array_equal(reconstruct(form).rho, want)
+
+
+def test_decompose_uses_the_bases_it_is_given_for_beta():
+    rng = np.random.default_rng(21)
+    state = BipartiteState(random_density(4, rng), (2, 2))
+    perm = [2, 0, 1]
+    permuted = GeneratorBasis(dim=2, matrices=tuple(PAULI[i] for i in perm))
+    form = decompose(state)
+    moved = decompose(state, permuted, permuted)
+    assert np.array_equal(moved.r_a, form.r_a[perm])
+    assert np.array_equal(moved.r_b, form.r_b[perm])
+    assert np.array_equal(moved.beta, form.beta[np.ix_(perm, perm)])
+    # one side permuted, the other canonical
+    state = BipartiteState(random_density(6, rng), (2, 3))
+    form = decompose(state)
+    moved = decompose(state, basis_a=permuted)
+    assert np.array_equal(moved.beta, form.beta[perm])
+
+
+def test_term_tables_hold_only_the_nonzeros():
+    assert len(_gell_mann_beta_terms(2, 2).pair) == 36
+    assert len(_gell_mann_beta_terms(6, 6).pair) == 6400
+    assert len(_gell_mann_beta_terms(8, 8).pair) == 21609
+
+
+def test_cold_8x8_decompose_stays_small():
+    # the dense stack of every g_i (x) g_j alone would be 63^2 * 64^2
+    # complex values (260 MB); the term tables hold 21,609 nonzeros
+    state = maximally_mixed((8, 8))
+    gell_mann_basis.cache_clear()
+    _gell_mann_beta_terms.cache_clear()
+    tracemalloc.start()
+    try:
+        form = decompose(state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert form.beta.shape == (63, 63)
+    assert np.abs(form.beta).max() < 1e-15
+    assert peak < 5 * 2**20

@@ -108,3 +108,39 @@ def test_qutrit_closed_form_matches_the_optimizer(seed, na, rank):
     assert abs(result.d - d_max(state, method="generic", rng=seed).d) < 1e-10
     u = result.unitary.matrix
     assert np.abs(state.rho_b @ u - u @ state.rho_b).max() < 1e-12
+
+
+def with_qutrit_spectrum(rho, na, spectrum, rng):
+    # (I (x) T) rho (I (x) T)^dag with T = target^(1/2) rho_B^(-1/2) turns
+    # rho_B into target = V diag(spectrum) V^dag for a Haar V
+    v = haar_unitary(3, rng)
+    rho_b = np.einsum("ajak->jk", rho.reshape(na, 3, na, 3))
+    w, e = np.linalg.eigh(rho_b)
+    t = (v * np.sqrt(spectrum)) @ v.conj().T @ (e / np.sqrt(w)) @ e.conj().T
+    k = np.kron(np.eye(na), t)
+    moved = k @ rho @ k.conj().T
+    return (moved + moved.conj().T) / 2.0
+
+
+@settings(max_examples=24, derandomize=True, deadline=None)
+@given(seeds, st.sampled_from([2, 3]), st.sampled_from(["nondegenerate", "degenerate"]))
+def test_dmax_bounds_every_cyclic_unitary_on_a_qutrit(seed, na, kind):
+    # the qutrit closed form (three levels) and the optimizer (a level
+    # pair) both bound the shift of Haar unitaries on the commutant blocks
+    rng = np.random.default_rng(seed)
+    rho = random_density(3 * na, rng)
+    if kind == "degenerate":
+        low = rng.uniform(0.05, 0.3)
+        rho = with_qutrit_spectrum(rho, na, [low, (1.0 - low) / 2.0, (1.0 - low) / 2.0], rng)
+    state = BipartiteState(rho, (na, 3))
+    structure = commutant_basis(state)
+    result = d_max(state, rng=seed)
+    if kind == "degenerate":
+        assert structure.block_sizes == (1, 2)
+    else:
+        assert structure.block_sizes == (1, 1, 1)
+        assert result.method == "qutrit-phase-closed-form"
+    for _ in range(5):
+        blocks = [haar_unitary(size, rng) for size in structure.block_sizes]
+        unit = make_cyclic(state, blocks, structure=structure)
+        assert result.d >= shift_direct(state, unit) - 1e-12
