@@ -113,13 +113,15 @@ class BipartiteState:
 
 @dataclass(frozen=True, eq=False)
 class BlochForm:
-    """Generator-basis coefficients (r_a, r_b, beta) of a bipartite state."""
+    """Coefficients (r_a, r_b, beta) of a state in bases basis_a, basis_b (None: Gell-Mann)."""
 
     r_a: np.ndarray
     r_b: np.ndarray
     beta: np.ndarray
     dim_a: int
     dim_b: int
+    basis_a: object = None
+    basis_b: object = None
 
     @property
     def beta_norm(self):
@@ -252,18 +254,18 @@ def decompose(state, basis_a=None, basis_b=None):
     r_a.setflags(write=False)
     r_b.setflags(write=False)
     beta.setflags(write=False)
-    return BlochForm(r_a=r_a, r_b=r_b, beta=beta, dim_a=na, dim_b=nb)
+    return BlochForm(r_a, r_b, beta, na, nb, basis_a, basis_b)
 
 
 def reconstruct(form, *, tol_psd=1e-10):
-    """Rebuild the density matrix from a Bloch form.
+    """Rebuild the density matrix from a Bloch form, in the form's bases.
 
     Raises NotAStateError when the coefficients do not describe a
     positive semidefinite unit-trace matrix.
     """
     na, nb = form.dim_a, form.dim_b
-    basis_a = gell_mann_basis(na)
-    basis_b = gell_mann_basis(nb)
+    basis_a = gell_mann_basis(na) if form.basis_a is None else form.basis_a
+    basis_b = gell_mann_basis(nb) if form.basis_b is None else form.basis_b
     r_a = np.asarray(form.r_a, dtype=float)
     r_b = np.asarray(form.r_b, dtype=float)
     beta = np.asarray(form.beta, dtype=float)

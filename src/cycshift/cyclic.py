@@ -35,7 +35,6 @@ from .operators import (
     SIGMA_1,
     SIGMA_2,
     SIGMA_3,
-    expi_hermitian,
     gell_mann_basis,
     is_unitary,
     partial_trace,
@@ -54,18 +53,6 @@ CROSS_CHECK_TOL = 1e-9
 # B side, max(1, sum J) on a qutrit one).
 _FLAT_PHASE_FAMILY = 64.0 * np.finfo(float).eps
 _IDENTITY_2 = np.eye(2)
-
-
-def minimize(*args, **kwargs):
-    """scipy.optimize.minimize, imported on first use.
-
-    Loading scipy.optimize takes about half a second, and only the
-    generic d_max optimizer needs it, so the closed forms, the CHSH
-    protocol and the CLI start without it.
-    """
-    from scipy.optimize import minimize as scipy_minimize
-
-    return scipy_minimize(*args, **kwargs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,11 +94,11 @@ class ShiftResult:
     ``formula`` names the route that produced ``d`` ("direct" or
     "correlation"); ``cross_check_residual`` is the disagreement between
     the two routes evaluated at the returned unitary.  ``certified`` is
-    False when the generic optimizer hit its budget without meeting the
-    convergence criterion.  ``nfev`` counts the generic optimizer's
-    objective evaluations over all restarts and polish passes, and
-    ``restart_spread`` is the largest minus the smallest ``d`` reached
-    by its restarts; both are 0 for the closed forms.
+    True for the closed forms, and for the generic optimizer when its
+    best restart met the stationarity test within its iteration budget.
+    ``nfev`` counts the generic optimizer's gradient evaluations over all
+    restarts, and ``restart_spread`` is the largest minus the smallest
+    ``d`` reached by its restarts; both are 0 for the closed forms.
     """
 
     d: float
@@ -658,155 +645,166 @@ def _closed_form_result(state, eps_deg, tol_cyclic):
     )
 
 
-def _param_count(sizes):
-    if all(s == 1 for s in sizes):
-        return len(sizes) - 1
-    return sum(s * s for s in sizes)
+def _block_layout(sizes):
+    # The rows and columns in W of the entries x of a block-diagonal W (blocks
+    # grouped by size, ascending; row-major), and (size, count) per group.
+    firsts = np.cumsum((0,) + tuple(sizes[:-1]))
+    rows, cols, groups = [], [], []
+    for s in sorted(set(sizes)):
+        starts = firsts[np.array(sizes) == s]
+        rows.append((starts[:, None] + np.repeat(np.arange(s), s)).ravel())
+        cols.append((starts[:, None] + np.tile(np.arange(s), s)).ravel())
+        groups.append((s, len(starts)))
+    return np.concatenate(rows), np.concatenate(cols), groups
 
 
-def _hermitians_from_params(params, sizes):
-    # Per block of size s: s diagonal entries, then (re, im) of each
-    # upper-triangle entry in row-major order.
-    params = np.asarray(params, dtype=float)
-    out = []
-    pos = 0
-    for s in sizes:
-        h = np.diag(params[pos:pos + s].astype(complex))
-        pos += s
-        iu = np.triu_indices(s, 1)
-        npairs = len(iu[0])
-        off = params[pos:pos + 2 * npairs:2] + 1j * params[pos + 1:pos + 2 * npairs:2]
-        pos += 2 * npairs
-        h[iu] = off
-        h[iu[1], iu[0]] = off.conj()
-        out.append(h)
-    return out
+def _quadratic_form(rho_rot, dims, sizes):
+    """M with Tr(rho rho_f) = x^dag M x over the entries x of a cyclic W.
 
-
-def _blocks_from_params(params, sizes):
-    if all(s == 1 for s in sizes):
-        phases = np.concatenate(([0.0], params))
-        return [np.array([[np.exp(1j * t)]]) for t in phases]
-    return [expi_hermitian(h) for h in _hermitians_from_params(params, sizes)]
-
-
-def _phase_weights(rho_rot, dims):
-    """W_ij = sum_{a,a'} |rho_(a i),(a' j)|^2 for a state in the eigenbasis of rho_B.
-
-    U = diag(exp(i theta)) moves entry (a i, a' j) by the phase
-    theta_i - theta_j, so its radicand is
-    R = sum_ij W_ij (1 - cos(theta_i - theta_j)).
+    In the eigenbasis of rho_B (``rho_rot``) a cyclic unitary is block
+    diagonal, W = (+)_k W_k, and x lists its block entries as
+    ``_block_layout`` orders them.  With B_aa' the (dB, dB) blocks of rho,
+    M_(ik),(jl) = sum_aa' B_aa'[i, j] conj(B_aa'[k, l]), Hermitian and
+    positive semidefinite, and the radicand is R = Tr rho^2 - x^dag M x.
+    For blocks of size 1, M_ij = sum_aa' |rho_(a i),(a' j)|^2 and
+    R = sum_ij M_ij (1 - cos(theta_i - theta_j)).
     """
     na, nb = dims
-    return (np.abs(rho_rot.reshape(na, nb, na, nb)) ** 2).sum(axis=(0, 2))
+    blocks = rho_rot.reshape(na, nb, na, nb)
+    if max(sizes) == 1:
+        return (np.abs(blocks) ** 2).sum(axis=(0, 2))
+    every, (rows, cols, _) = np.arange(na), _block_layout(sizes)
+    left, right = (blocks[np.ix_(every, at, every, at)] for at in (rows, cols))
+    return (left * right.conj()).sum(axis=(0, 2))
 
 
-def _radicand_objective(rho_rot, dims, sizes):
-    """The shift radicand over block parameters, with its gradient.
+def _blockwise(fn, groups, *arrays):
+    # fn of the (R, count, s, s) block stacks of each group, back as rows
+    out, start = [], 0
+    for s, count in groups:
+        stop = start + count * s * s
+        stacks = (a[:, start:stop].reshape(len(a), count, s, s) for a in arrays)
+        out.append(fn(*stacks).reshape(len(arrays[0]), -1))
+        start = stop
+    return np.concatenate(out, axis=1)
 
-    ``rho_rot`` is the state in the eigenbasis of rho_B, where a cyclic
-    unitary is block diagonal with blocks of ``sizes``.  The returned
-    function maps ``params`` (laid out as in ``_blocks_from_params``) to
-    (radicand, gradient).
+
+def _polar(y):
+    # The unitary polar factor of each square matrix of a stack.
+    if y.shape[-1] == 1:
+        return y / np.abs(y)
+    u, _, vh = np.linalg.svd(y)
+    return u @ vh
+
+
+def _riemannian_gradients(mmat, x, groups):
+    # x^dag M x for each row of x and its Riemannian gradient: G = 2 M x
+    # projected block by block to W skew(W^dag G), i Im(conj(w) g) w for size 1
+    def tangent(w, g):
+        a = _adjoint(w) @ g
+        return w @ (0.5 * (a - _adjoint(a)))
+
+    mx = x @ mmat.T
+    return _inner(x, mx), _blockwise(tangent, groups, x, 2.0 * mx)
+
+
+def _inner(a, b):
+    # Re <a, b> for each row
+    return np.einsum("rn,rn->r", a.conj(), b).real
+
+
+_GRADIENT_TOL = 1e-10  # converged: Riemannian gradient norm below this times ||M||_F
+_DEFAULT_MAX_ITERS = 1000
+_ARMIJO = 1e-4
+_NONMONOTONE = 10
+_MAX_HALVINGS = 40
+
+
+def _riemannian_descent(mmat, groups, starts, max_iters):
+    """Minimize x^dag M x over U(s_1) x ... x U(s_k) from every start in lockstep.
+
+    Each restart (a row of ``starts``) takes Barzilai-Borwein steps, the
+    two variants in turn, along minus its Riemannian gradient, backtracks
+    them to Armijo's decrease, and retracts with the polar factor (Absil,
+    Mahony and Sepulchre 2008; Abrudan, Eriksson and Koivunen, IEEE TSP
+    56, 1134, 2008).  The decrease is measured from the largest of the
+    last _NONMONOTONE values, as in Raydan's global Barzilai-Borwein
+    method (SIAM J. Optim. 7, 26, 1997), up to the rounding noise of
+    x^dag M x.  A restart stops when it meets the stationarity test
+    (converged), when backtracking finds no step (stalled), or after
+    ``max_iters`` steps.  Returns the points, the converged flags and the
+    number of gradient evaluations.
     """
-    na, nb = dims
-    if all(s == 1 for s in sizes):
-        weights = _phase_weights(rho_rot, dims)
-
-        def objective(params):
-            theta = np.concatenate(([0.0], params))
-            delta = theta[:, None] - theta[None, :]
-            radicand = float(np.sum(weights * (1.0 - np.cos(delta))))
-            grad = 2.0 * np.sum(weights * np.sin(delta), axis=1)
-            return radicand, grad[1:]
-
-        return objective
-
-    spans = []
-    start = 0
-    for s in sizes:
-        spans.append(slice(start, start + s))
-        start += s
-
-    def objective(params):
-        w = np.zeros((nb, nb), dtype=complex)
-        eigs = []
-        for span, h in zip(spans, _hermitians_from_params(params, sizes)):
-            lam, q = np.linalg.eigh(h)
-            w[span, span] = (q * np.exp(1j * lam)) @ q.conj().T
-            eigs.append((lam, q))
-        rho_f = _conj_b(rho_rot, w, dims)
-        diff = rho_rot - rho_f
-        radicand = 0.5 * np.vdot(diff, diff).real
-        # dR = -2 Re Tr(G^dag dW) with G = Tr_A(rho D rho), D = I (x) W,
-        # and D rho = rho_f D gives G = Tr_A(rho rho_f) W.
-        g = np.trace((rho_rot @ rho_f).reshape(na, nb, na, nb), axis1=0, axis2=2) @ w
-        grad = []
-        for span, (lam, q) in zip(spans, eigs):
-            # Daleckii-Krein: d exp(iH) = Q (Phi o (Q^dag dH Q)) Q^dag with
-            # Phi_pq = (e^{i lam_p} - e^{i lam_q}) / (lam_p - lam_q).
-            half = 0.5 * (lam[:, None] - lam[None, :])
-            phi = 1j * np.exp(0.5j * (lam[:, None] + lam[None, :])) * np.sinc(half / math.pi)
-            gam = q @ (phi.conj() * (q.conj().T @ g[span, span] @ q)) @ q.conj().T
-            iu = np.triu_indices(len(lam), 1)
-            pairs = np.empty(2 * len(iu[0]))
-            pairs[0::2] = gam[iu].real + gam.T[iu].real
-            pairs[1::2] = gam[iu].imag - gam.T[iu].imag
-            grad.append(np.diag(gam).real)
-            grad.append(pairs)
-        return radicand, -2.0 * np.concatenate(grad)
-
-    return objective
+    scale = float(np.linalg.norm(mmat))
+    noise = 64.0 * np.finfo(float).eps * scale * starts.shape[1]
+    small = (_GRADIENT_TOL * scale) ** 2
+    x, converged = starts.copy(), np.zeros(len(starts), dtype=bool)
+    # xl, fl, gl, sq and t hold the restarts still running, at rows live
+    live, xl = np.arange(len(x)), starts
+    fl, gl = _riemannian_gradients(mmat, xl, groups)
+    nfev, sq, t = len(x), _inner(gl, gl), np.full(len(x), 0.5 / scale)
+    recent, stalled = np.repeat(fl[:, None], _NONMONOTONE, axis=1), np.zeros(len(x), dtype=bool)
+    for it in range(max_iters + 1):
+        met = sq <= small
+        stop = met | stalled | (it == max_iters)
+        if stop.any():
+            x[live[stop]], converged[live[stop]] = xl[stop], met[stop]
+            live, xl, fl, gl, sq, t, recent = (a[~stop] for a in (live, xl, fl, gl, sq, t, recent))
+            if not live.size:
+                break
+        floor = recent.max(axis=1) + noise
+        x1 = _blockwise(_polar, groups, xl - t[:, None] * gl)
+        f1, g1 = _riemannian_gradients(mmat, x1, groups)
+        nfev += len(x1)
+        short = np.flatnonzero(f1 > floor - _ARMIJO * t * sq)
+        for _ in range(_MAX_HALVINGS):
+            if not short.size:
+                break
+            t[short] *= 0.5
+            x1[short] = _blockwise(_polar, groups, xl[short] - t[short, None] * gl[short])
+            f1[short], g1[short] = _riemannian_gradients(mmat, x1[short], groups)
+            nfev += len(short)
+            short = short[f1[short] > floor[short] - _ARMIJO * t[short] * sq[short]]
+        # a restart that found no step stays where it is, and stops
+        stalled = np.isin(np.arange(len(live)), short)
+        x1[short], f1[short], g1[short] = xl[short], fl[short], gl[short]
+        dx, dg = x1 - xl, g1 - gl
+        sy = np.abs(_inner(dx, dg))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bb = _inner(dx, dx) / sy if it % 2 == 0 else sy / _inner(dg, dg)
+        t = np.clip(np.where(bb > 0.0, bb, 0.5 / scale), 1e-6 / scale, 1e6 / scale)
+        recent[:, it % _NONMONOTONE] = f1
+        xl, fl, gl, sq = x1, f1, g1, _inner(g1, g1)
+    return x, converged, nfev
 
 
-def _dmax_generic(state, form, structure, restarts, rng, max_iters, tol_cyclic,
-                  tol_conv=1e-10):
+def _dmax_generic(state, form, structure, restarts, rng, max_iters, tol_cyclic):
     sizes = structure.block_sizes
-    nparams = _param_count(sizes)
-    rho_rot = _conj_b(state.rho, structure.basis.conj().T, state.dims)
-    radicand = _radicand_objective(rho_rot, state.dims, sizes)
-
-    def objective(params):
-        value, grad = radicand(params)
-        return -value, -grad
-
-    options = {"ftol": 1e-15, "gtol": 1e-12}
-    if max_iters is not None:
-        options["maxiter"] = max_iters
-    nfev = 0
-
-    def run(x0):
-        nonlocal nfev
-        res = minimize(objective, x0, jac=True, method="L-BFGS-B", options=options)
-        nfev += int(res.nfev)
-        return res
-
-    runs = [run(rng.uniform(-math.pi, math.pi, size=nparams)) for _ in range(restarts)]
-    best = min(runs, key=lambda res: res.fun)
-    d_runs = [math.sqrt(max(-res.fun, 0.0)) for res in runs]
-    # Polish until the shift stops improving.
-    certified = bool(best.success)
-    d_prev = math.sqrt(max(-best.fun, 0.0))
-    for _ in range(8):
-        res = run(best.x)
-        if res.fun < best.fun:
-            best = res
-        d_now = math.sqrt(max(-best.fun, 0.0))
-        if d_now - d_prev < tol_conv:
-            certified = True
-            break
-        d_prev = d_now
-    else:
-        certified = False
-    blocks = _blocks_from_params(best.x, sizes)
-    unit = make_cyclic(state, blocks, structure=structure)
-    d_val = _shift_from_radicand(float(-best.fun))
+    rho_rot = _conj_b(state.rho, _adjoint(structure.basis), state.dims)
+    mmat = _quadratic_form(rho_rot, state.dims, sizes)
+    rows, cols, groups = _block_layout(sizes)
+    # the polar factor of a complex Gaussian matrix is Haar distributed
+    gauss = np.random.default_rng(rng).standard_normal((2, restarts, len(mmat)))
+    starts = _blockwise(_polar, groups, gauss[0] + 1j * gauss[1])
+    x, converged, nfev = _riemannian_descent(
+        mmat, groups, starts, _DEFAULT_MAX_ITERS if max_iters is None else max_iters)
+    phase_family = max(sizes) == 1
+    if phase_family:
+        # phases relative to theta_0 = 0, as the qutrit closed form reports them
+        theta = np.angle(x * x[:, :1].conj())
+        x = np.exp(1j * theta)
+    w = np.zeros((restarts, state.dim_b, state.dim_b), dtype=complex)
+    w[:, rows, cols] = x
+    radicands = _direct_radicands(rho_rot, w, state.dims)
+    best = int(np.argmax(radicands))
+    d_runs = np.sqrt(np.maximum(radicands, 0.0))
+    params = {"phases": theta[best].tolist()} if phase_family else {}
+    blocks = [w[best, idx[0]:idx[-1] + 1, idx[0]:idx[-1] + 1] for _, idx in structure.blocks]
     return _finalize(
-        state, form, unit, d_val, "direct", "multistart",
-        restarts=restarts, certified=certified,
-        params={"block_params": [float(x) for x in best.x]},
-        tol_cyclic=tol_cyclic, nfev=nfev, restart_spread=max(d_runs) - min(d_runs),
-    )
+        state, form, make_cyclic(state, blocks, structure=structure),
+        _shift_from_radicand(float(radicands[best])), "direct", "multistart", restarts=restarts,
+        certified=bool(converged[best]), params=params,
+        tol_cyclic=tol_cyclic, nfev=nfev, restart_spread=float(d_runs.max() - d_runs.min()))
 
 
 def _qutrit_phases(weights):
@@ -848,9 +846,8 @@ def _qutrit_phases(weights):
 
 def _dmax_qutrit_phases(state, form, structure, tol_cyclic):
     rho_rot = _conj_b(state.rho, structure.basis.conj().T, state.dims)
-    radicand, phases = _qutrit_phases(_phase_weights(rho_rot, state.dims))
-    unit = make_cyclic(state, _blocks_from_params(phases[1:], structure.block_sizes),
-                       structure=structure)
+    radicand, phases = _qutrit_phases(_quadratic_form(rho_rot, state.dims, (1, 1, 1)))
+    unit = make_cyclic(state, [np.array([[np.exp(1j * t)]]) for t in phases], structure=structure)
     return _finalize(
         state, form, unit, _shift_from_radicand(radicand), "direct",
         "qutrit-phase-closed-form", restarts=0, certified=True,
@@ -874,15 +871,15 @@ def d_max(state, *, restarts=16, method="auto", rng=None, eps_deg=EPS_DEGENERATE
         a qutrit B subsystem with three distinct levels of rho_B to the
         exact phase-triangle maximum ('qutrit-phase-closed-form'), and
         anything else (degenerate qutrit levels, dB >= 4) to the
-        multi-start optimizer.  'generic' forces the optimizer.
+        multi-start Riemannian optimizer.  'generic' forces the optimizer.
     rng : int, numpy Generator or None
         Seed material for the optimizer restarts.
     eps_deg : float
         Relative eigenvalue gap below which levels of rho_B merge into
         one block (see ``commutant_basis``).
     max_iters : int or None
-        Iteration budget of each L-BFGS-B run of the generic optimizer
-        (scipy's default when None).
+        Iteration budget of each restart of the generic optimizer
+        (1000 when None).
     tol_cyclic : float
         Commutation tolerance for every cyclic-unitary check on the way.
         Merging nearly degenerate levels with a large ``eps_deg`` admits
@@ -915,5 +912,4 @@ def _d_max_of_form(state, form, *, restarts=16, method="auto", rng=None,
     form = decompose(state) if form is None else form
     if method == "auto" and structure.block_sizes == (1, 1, 1):
         return _dmax_qutrit_phases(state, form, structure, tol_cyclic)
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    return _dmax_generic(state, form, structure, restarts, gen, max_iters, tol_cyclic)
+    return _dmax_generic(state, form, structure, restarts, rng, max_iters, tol_cyclic)

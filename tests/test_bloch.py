@@ -258,6 +258,33 @@ def test_decompose_uses_the_bases_it_is_given_for_beta():
     assert np.array_equal(moved.beta, form.beta[perm])
 
 
+def rotated_basis(dim, rng):
+    # g'_i = sum_j O_ij g_j for a random orthogonal O keeps Tr(g'_i g'_j) = 2 delta_ij
+    stack = gell_mann_basis(dim).stack
+    o, _ = np.linalg.qr(rng.standard_normal((len(stack), len(stack))))
+    return GeneratorBasis(dim=dim, matrices=tuple(np.einsum("ij,jab->iab", o, stack)))
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+def test_reconstruct_rebuilds_in_the_bases_of_the_form(dims):
+    rng = np.random.default_rng(22)
+    na, nb = dims
+    state = BipartiteState(random_density(na * nb, rng), dims)
+    permuted = GeneratorBasis(dim=2, matrices=tuple(PAULI[i] for i in (2, 0, 1)))
+    cases = [(rotated_basis(na, rng), rotated_basis(nb, rng)),
+             (gell_mann_basis(na), rotated_basis(nb, rng))]
+    if dims == (2, 2):
+        cases.append((permuted, permuted))
+    for basis_a, basis_b in cases:
+        form = decompose(state, basis_a, basis_b)
+        assert form.basis_a is basis_a and form.basis_b is basis_b
+        assert np.abs(reconstruct(form).rho - state.rho).max() < 1e-14
+    # the canonical path is the one a form without bases takes
+    form = decompose(state)
+    bare = BlochForm(r_a=form.r_a, r_b=form.r_b, beta=form.beta, dim_a=na, dim_b=nb)
+    assert np.array_equal(reconstruct(form).rho, reconstruct(bare).rho)
+
+
 def test_term_tables_hold_only_the_nonzeros():
     assert len(_gell_mann_beta_terms(2, 2).pair) == 36
     assert len(_gell_mann_beta_terms(6, 6).pair) == 6400

@@ -248,6 +248,14 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+    # a degenerate rho_B (one block of size 3) runs the generic optimizer
+    probe = ("import io, sys, contextlib; from cycshift.cli import main\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    code = main(['dmax', '--state', 'maxmixed:2x3'])\n"
+             "print(code, 'scipy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "0 False"
 
 
 def test_dmax_merged_levels_with_matching_tol_cyclic(capsys):

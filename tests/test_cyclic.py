@@ -5,10 +5,12 @@ import pytest
 
 from cycshift.bloch import BipartiteState, decompose
 from cycshift.cyclic import (
+    _block_layout,
     _conj_b,
-    _param_count,
+    _direct_radicands,
     _qubit_b_closed_forms,
-    _radicand_objective,
+    _quadratic_form,
+    _riemannian_gradients,
     _shift_from_radicand,
     apply_cyclic,
     beta_final,
@@ -303,43 +305,117 @@ def test_shift_radicand_ceiling():
         _shift_from_radicand(-5e-12)
 
 
-def _gradient_cases():
+def with_spectrum(rho, dims, spectrum, rng):
+    # (I (x) T) rho (I (x) T)^dag with T = target^(1/2) rho_B^(-1/2) turns
+    # rho_B into target = V diag(spectrum) V^dag for a Haar V
+    na, nb = dims
+    v = haar_unitary(nb, rng)
+    w, e = np.linalg.eigh(partial_trace(rho, dims, "B"))
+    t = (v * np.sqrt(spectrum)) @ v.conj().T @ (e / np.sqrt(w)) @ e.conj().T
+    k = np.kron(np.eye(na), t)
+    moved = k @ rho @ k.conj().T
+    return BipartiteState((moved + moved.conj().T) / 2.0, dims)
+
+
+def _form_cases():
     rng = np.random.default_rng(67)
-    cases = [(random_density(6, rng), (2, 3)), (random_density(9, rng), (3, 3))]
+    cases = [BipartiteState(random_density(6, rng), (2, 3)),
+             BipartiteState(random_density(9, rng), (3, 3)),
+             BipartiteState(random_density(8, rng), (2, 4))]
     # A maximally entangled qubit pair inside 2x3 under a local unitary:
     # rho_B has eigenvalues (0, 1/2, 1/2), blocks of size 1 and 2.
     vec = np.zeros(6, dtype=complex)
     vec[0] = vec[4] = 1.0 / math.sqrt(2.0)
     u = np.kron(haar_unitary(2, rng), haar_unitary(3, rng))
-    cases.append((u @ np.outer(vec, vec.conj()) @ u.conj().T, (2, 3)))
+    rho = u @ np.outer(vec, vec.conj()) @ u.conj().T
+    cases.append(BipartiteState((rho + rho.conj().T) / 2.0, (2, 3)))
     # A mixture of maximally entangled qutrit pairs rotated on A only:
     # rho_B = I/3, one block of size 3.
     rho = np.zeros((9, 9), dtype=complex)
     for weight in (0.6, 0.4):
         ua = np.kron(haar_unitary(3, rng), np.eye(3))
         rho += weight * ua @ maximally_entangled(3) @ ua.conj().T
-    cases.append((rho, (3, 3)))
+    cases.append(BipartiteState((rho + rho.conj().T) / 2.0, (3, 3)))
+    # two degenerate pairs of rho_B levels at 2x4
+    cases.append(with_spectrum(random_density(8, rng), (2, 4), [0.15, 0.15, 0.35, 0.35], rng))
     return cases
 
 
-@pytest.mark.parametrize("case, sizes", [(0, (1, 1, 1)), (1, (1, 1, 1)), (2, (1, 2)), (3, (3,))],
-                         ids=["2x3", "3x3", "2x3-blocks-1-2", "3x3-block-3"])
-def test_radicand_gradient_matches_central_differences(case, sizes):
-    rho, dims = _gradient_cases()[case]
-    state = BipartiteState((rho + rho.conj().T) / 2.0, dims)
+FORM_CASES = pytest.mark.parametrize(
+    "case, sizes", [(0, (1, 1, 1)), (1, (1, 1, 1)), (2, (1, 1, 1, 1)), (3, (1, 2)), (4, (3,)),
+                    (5, (2, 2))],
+    ids=["2x3", "3x3", "2x4", "2x3-blocks-1-2", "3x3-block-3", "2x4-blocks-2-2"])
+
+
+def _form_of(case, sizes):
+    state = _form_cases()[case]
     structure = commutant_basis(state)
     assert structure.block_sizes == sizes
-    rho_rot = _conj_b(state.rho, structure.basis.conj().T, dims)
-    objective = _radicand_objective(rho_rot, dims, sizes)
-    nparams = _param_count(sizes)
-    x = np.random.default_rng(71 + case).uniform(-math.pi, math.pi, nparams)
-    _, grad = objective(x)
-    h = 1e-6
-    numeric = np.array([
-        (objective(x + h * e)[0] - objective(x - h * e)[0]) / (2.0 * h)
-        for e in np.eye(nparams)
-    ])
-    assert np.max(np.abs(grad - numeric)) < 1e-8
+    rho_rot = _conj_b(state.rho, structure.basis.conj().T, state.dims)
+    return state, rho_rot, _quadratic_form(rho_rot, state.dims, sizes)
+
+
+def _haar_points(sizes, count, rng):
+    # rows of x: the entries of Haar block unitaries, laid out as _block_layout lists them
+    rows, cols, _ = _block_layout(sizes)
+    return np.array([_block_diagonal(sizes, lambda s: haar_unitary(s, rng))[rows, cols]
+                     for _ in range(count)])
+
+
+@FORM_CASES
+def test_quadratic_form_is_the_direct_radicand(case, sizes):
+    state, rho_rot, mmat = _form_of(case, sizes)
+    assert np.abs(mmat - mmat.conj().T).max() < 1e-15
+    assert np.linalg.eigvalsh(mmat).min() > -1e-15
+    x = _haar_points(sizes, 10, np.random.default_rng(71 + case))
+    w = np.zeros((len(x), state.dim_b, state.dim_b), dtype=complex)
+    rows, cols, _ = _block_layout(sizes)
+    w[:, rows, cols] = x
+    # the dense difference form, in the original basis, knows nothing of M
+    v = commutant_basis(state).basis
+    dense = _direct_radicands(state.rho, v @ w @ v.conj().T, state.dims)
+    form = state.purity() - np.einsum("rn,nm,rm->r", x.conj(), mmat, x).real
+    assert np.abs(form - dense).max() < 1e-14
+
+
+def _block_diagonal(sizes, block):
+    # the block diagonal matrix of block(s) for each size s in turn
+    w = np.zeros((sum(sizes), sum(sizes)), dtype=complex)
+    start = 0
+    for s in sizes:
+        w[start:start + s, start:start + s] = block(s)
+        start += s
+    return w
+
+
+@FORM_CASES
+def test_riemannian_gradient_matches_central_differences(case, sizes):
+    _, _, mmat = _form_of(case, sizes)
+    rng = np.random.default_rng(81 + case)
+    rows, cols, groups = _block_layout(sizes)
+    w = _block_diagonal(sizes, lambda s: haar_unitary(s, rng))
+    _, grad = _riemannian_gradients(mmat, w[rows, cols][None], groups)
+    for _ in range(4):
+        # the curve W exp(t Omega) for a block skew-Hermitian Omega = i H
+        h = _block_diagonal(sizes, lambda s: random_density(s, rng) - np.eye(s) / 2.0)
+        lam, q = np.linalg.eigh(h)
+
+        def value(t):
+            y = (w @ (q * np.exp(1j * t * lam)) @ q.conj().T)[rows, cols]
+            return np.vdot(y, mmat @ y).real
+
+        numeric = (value(1e-5) - value(-1e-5)) / 2e-5
+        assert abs(numeric - np.vdot(grad[0], (w @ (1j * h))[rows, cols]).real) < 1e-10
+
+
+def test_generic_dmax_flags_a_run_out_of_budget():
+    state = BipartiteState(maximally_entangled(3), (3, 3))
+    cut = d_max(state, method="generic", max_iters=1, rng=0)
+    assert cut.method == "multistart"
+    assert cut.certified is False
+    full = d_max(state, method="generic", rng=0)
+    assert full.certified is True
+    assert cut.nfev < full.nfev
 
 
 def test_generic_dmax_maximally_entangled_qutrits():

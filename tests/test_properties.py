@@ -9,7 +9,14 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from cycshift.bloch import BipartiteState  # noqa: E402
-from cycshift.cyclic import commutant_basis, d_max, make_cyclic, shift_direct  # noqa: E402
+from cycshift.cyclic import (  # noqa: E402
+    EPS_DEGENERATE,
+    commutant_basis,
+    d_max,
+    make_cyclic,
+    shift_direct,
+)
+from cycshift.errors import ConsistencyError  # noqa: E402
 
 PAULI = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -110,11 +117,12 @@ def test_qutrit_closed_form_matches_the_optimizer(seed, na, rank):
     assert np.abs(state.rho_b @ u - u @ state.rho_b).max() < 1e-12
 
 
-def with_qutrit_spectrum(rho, na, spectrum, rng):
+def with_b_spectrum(rho, na, spectrum, rng):
     # (I (x) T) rho (I (x) T)^dag with T = target^(1/2) rho_B^(-1/2) turns
     # rho_B into target = V diag(spectrum) V^dag for a Haar V
-    v = haar_unitary(3, rng)
-    rho_b = np.einsum("ajak->jk", rho.reshape(na, 3, na, 3))
+    nb = len(spectrum)
+    v = haar_unitary(nb, rng)
+    rho_b = np.einsum("ajak->jk", rho.reshape(na, nb, na, nb))
     w, e = np.linalg.eigh(rho_b)
     t = (v * np.sqrt(spectrum)) @ v.conj().T @ (e / np.sqrt(w)) @ e.conj().T
     k = np.kron(np.eye(na), t)
@@ -131,7 +139,7 @@ def test_dmax_bounds_every_cyclic_unitary_on_a_qutrit(seed, na, kind):
     rho = random_density(3 * na, rng)
     if kind == "degenerate":
         low = rng.uniform(0.05, 0.3)
-        rho = with_qutrit_spectrum(rho, na, [low, (1.0 - low) / 2.0, (1.0 - low) / 2.0], rng)
+        rho = with_b_spectrum(rho, na, [low, (1.0 - low) / 2.0, (1.0 - low) / 2.0], rng)
     state = BipartiteState(rho, (na, 3))
     structure = commutant_basis(state)
     result = d_max(state, rng=seed)
@@ -144,3 +152,46 @@ def test_dmax_bounds_every_cyclic_unitary_on_a_qutrit(seed, na, kind):
         blocks = [haar_unitary(size, rng) for size in structure.block_sizes]
         unit = make_cyclic(state, blocks, structure=structure)
         assert result.d >= shift_direct(state, unit) - 1e-12
+
+
+# Two qubit-B levels just above eps_deg: the phase closed form takes its
+# d from the Bloch axis of rho_B, whose direction is only good to about
+# eps / gap, but builds its unitary in the eigenbasis, and its own
+# consistency check then rejects the row (see CHANGES.md).
+_QUBIT_AXIS_DEFECT = pytest.mark.xfail(
+    strict=True, raises=ConsistencyError,
+    reason="qubit phase closed form: Bloch-axis d against an eigenbasis unitary")
+
+
+@pytest.mark.parametrize("nb, side", [(2, 0.9), pytest.param(2, 1.1, marks=_QUBIT_AXIS_DEFECT),
+                                      (3, 0.9), (3, 1.1)])
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(seeds, st.sampled_from([2, 3]))
+def test_generic_and_closed_forms_agree_at_the_merging_threshold(nb, side, seed, na):
+    # The closest rho_B levels sit a tenth of eps_deg below it (they merge)
+    # or above it (they stay apart); the optimizer and the closed form see
+    # the same commutant either way.
+    rng = np.random.default_rng(seed)
+    gap = side * EPS_DEGENERATE
+    if nb == 2:
+        spectrum = [0.5 - gap / 2.0, 0.5 + gap / 2.0]
+    else:
+        low = rng.uniform(0.1, 0.25)
+        spectrum = [low, (1.0 - low - gap) / 2.0, (1.0 - low + gap) / 2.0]
+    rho = with_b_spectrum(random_density(na * nb, rng), na, spectrum, rng)
+    state = BipartiteState(rho, (na, nb))
+    merged = side < 1.0
+    assert len(commutant_basis(state).blocks) == (nb - 1 if merged else nb)
+    closed = d_max(state, rng=seed)
+    generic = d_max(state, method="generic", rng=seed)
+    assert generic.method == "multistart" and generic.certified
+    if nb == 3 and merged:
+        # no closed form for a level pair: the optimizer runs either way,
+        # and its commutant holds that of the split levels
+        assert closed.method == "multistart"
+        split = d_max(state, eps_deg=EPS_DEGENERATE / 2.0)
+        assert split.method == "qutrit-phase-closed-form"
+        assert generic.d >= split.d - 1e-9
+    else:
+        assert closed.method.endswith("closed-form")
+    assert abs(closed.d - generic.d) < 1e-9
