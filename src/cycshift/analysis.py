@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .cyclic import EPS_DEGENERATE, TOL_CYCLIC, _d_max_of_form, d_max
+from .cyclic import EPS_DEGENERATE, TOL_CYCLIC, d_max
 from .bloch import decompose
 from .errors import DimensionError, NotAStateError
 
@@ -106,8 +106,7 @@ def detect(state, *, restarts=16, rng=None, tol_bound=TOL_BOUND,
     ``tol_cyclic`` are passed on to ``d_max``.
     """
     form = decompose(state)
-    result = _d_max_of_form(state, form, restarts=restarts, rng=rng, eps_deg=eps_deg,
-                            tol_cyclic=tol_cyclic)
+    result = d_max(state, restarts=restarts, rng=rng, eps_deg=eps_deg, tol_cyclic=tol_cyclic)
     min_eig, ppt_negative = ppt_test(state)
     _, theorem_class = _outer_product_fit(form)
     two_qubit = state.dims == (2, 2)

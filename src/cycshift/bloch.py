@@ -128,6 +128,11 @@ class BlochForm:
         """Frobenius norm of the correlation matrix."""
         return float(np.linalg.norm(self.beta))
 
+    def bases(self):
+        """(basis_a, basis_b), with the Gell-Mann basis where None is recorded."""
+        return (gell_mann_basis(self.dim_a) if self.basis_a is None else self.basis_a,
+                gell_mann_basis(self.dim_b) if self.basis_b is None else self.basis_b)
+
 
 def _coeff_r(n):
     # r_i = _coeff_r(n) * Tr(rho_reduced g_i)
@@ -264,8 +269,7 @@ def reconstruct(form, *, tol_psd=1e-10):
     positive semidefinite unit-trace matrix.
     """
     na, nb = form.dim_a, form.dim_b
-    basis_a = gell_mann_basis(na) if form.basis_a is None else form.basis_a
-    basis_b = gell_mann_basis(nb) if form.basis_b is None else form.basis_b
+    basis_a, basis_b = form.bases()
     r_a = np.asarray(form.r_a, dtype=float)
     r_b = np.asarray(form.r_b, dtype=float)
     beta = np.asarray(form.beta, dtype=float)

@@ -166,19 +166,17 @@ class ChshTranscript:
     def to_json_dict(self):
         return {
             "stage1": {
-                "alice_axis_1": [float(x) for x in self.stage1.axis_1],
-                "alice_axis_2": [float(x) for x in self.stage1.axis_2],
+                "alice_axis_1": self.stage1.axis_1.tolist(),
+                "alice_axis_2": self.stage1.axis_2.tolist(),
                 "f_max": self.stage1.f_value,
             },
             "stage2": {
-                "bob_axis_1": [float(x) for x in self.stage2.axis_1],
-                "bob_axis_2": [float(x) for x in self.stage2.axis_2],
+                "bob_axis_1": self.stage2.axis_1.tolist(),
+                "bob_axis_2": self.stage2.axis_2.tolist(),
                 "f_value": self.stage2.f_value,
             },
-            "recovered_rotation": [[float(x) for x in row]
-                                   for row in self.recovered_rotation],
-            "recovered_beta_f": [[float(x) for x in row]
-                                 for row in self.recovered_beta_f],
+            "recovered_rotation": self.recovered_rotation.tolist(),
+            "recovered_beta_f": self.recovered_beta_f.tolist(),
             "estimated_d": self.estimated_d,
         }
 

@@ -123,18 +123,21 @@ def _load_state(name_or_path, config):
 
 
 def _jsonable(obj):
+    """A payload in plain JSON types.
+
+    Real arrays keep their shape; a complex array becomes the flat
+    row-major list of its [re, im] pairs.
+    """
     if isinstance(obj, dict):
         return {key: _jsonable(value) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(value) for value in obj]
     if isinstance(obj, np.ndarray):
         if np.iscomplexobj(obj):
-            return [[float(z.real), float(z.imag)] for z in obj.reshape(-1)]
-        return [float(x) for x in obj.reshape(-1)]
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
+            return [[z.real, z.imag] for z in obj.ravel().tolist()]
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
     return obj
 
 
@@ -153,26 +156,15 @@ def _write(text, out):
 def _cmd_decompose(args, config):
     state = _load_state(args.state, config)
     form = decompose(state)
-    payload = {
+    return _json_text(_jsonable({
         "dims": [form.dim_a, form.dim_b],
-        "r_a": [float(x) for x in form.r_a],
-        "r_b": [float(x) for x in form.r_b],
-        "beta": [[float(x) for x in row] for row in form.beta],
-        "r_a_norm": float(np.linalg.norm(form.r_a)),
-        "r_b_norm": float(np.linalg.norm(form.r_b)),
-        "beta_norm": float(form.beta_norm),
-    }
-    return _json_text(payload)
-
-
-def _unitary_payload(unit):
-    flat = unit.matrix.reshape(-1)
-    return {
-        "dim": unit.dim,
-        "matrix": [[float(z.real), float(z.imag)] for z in flat],
-        "block_sizes": [int(s) for s in unit.structure.block_sizes],
-        "eigenvalues": [float(w) for w in unit.structure.eigenvalues],
-    }
+        "r_a": form.r_a,
+        "r_b": form.r_b,
+        "beta": form.beta,
+        "r_a_norm": np.linalg.norm(form.r_a),
+        "r_b_norm": np.linalg.norm(form.r_b),
+        "beta_norm": form.beta_norm,
+    }))
 
 
 def _cmd_dmax(args, config):
@@ -184,17 +176,22 @@ def _cmd_dmax(args, config):
         eps_deg=config.eps_deg,
         tol_cyclic=config.tol_cyclic,
     )
-    payload = {
+    unit = result.unitary
+    return _json_text(_jsonable({
         "d": result.d,
         "formula": result.formula,
         "method": result.method,
         "restarts": result.restarts,
         "certified": result.certified,
         "cross_check_residual": result.cross_check_residual,
-        "params": _jsonable(result.params),
-        "unitary": _unitary_payload(result.unitary),
-    }
-    return _json_text(payload)
+        "params": result.params,
+        "unitary": {
+            "dim": unit.dim,
+            "matrix": unit.matrix,
+            "block_sizes": unit.structure.block_sizes,
+            "eigenvalues": unit.structure.eigenvalues,
+        },
+    }))
 
 
 def _cmd_detect(args, config):

@@ -17,13 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import (
-    BipartiteState,
-    _bloch_vectors,
-    _correlation_matrices,
-    bloch_vector,
-    decompose,
-)
+from .bloch import BipartiteState, _bloch_vectors, _correlation_matrices, bloch_vector
 from .errors import (
     ConsistencyError,
     DimensionError,
@@ -144,15 +138,6 @@ def _structure(w, v, splits):
     return CommutantStructure(eigenvalues=w, basis=v, blocks=blocks)
 
 
-def _assemble(structure, block_unitaries):
-    nb = structure.basis.shape[0]
-    b = np.zeros((nb, nb), dtype=complex)
-    for (_, idx), wk in zip(structure.blocks, block_unitaries):
-        b[np.ix_(idx, idx)] = wk
-    v = structure.basis
-    return v @ b @ v.conj().T
-
-
 def make_cyclic(state, block_unitaries, *, structure=None, tol_unitary=1e-10,
                 eps_deg=EPS_DEGENERATE):
     """Assemble a cyclic unitary from per-eigenspace blocks.
@@ -176,6 +161,8 @@ def make_cyclic(state, block_unitaries, *, structure=None, tol_unitary=1e-10,
         raise DimensionError(
             f"expected {len(blocks)} block unitaries, got {len(block_unitaries)}"
         )
+    v = structure.basis
+    b = np.zeros(v.shape, dtype=complex)
     mats = []
     for (_, idx), wk in zip(blocks, block_unitaries):
         wk = np.asarray(wk, dtype=complex)
@@ -186,10 +173,10 @@ def make_cyclic(state, block_unitaries, *, structure=None, tol_unitary=1e-10,
             )
         if not is_unitary(wk, tol_unitary):
             raise OperatorError("block matrix is not unitary within tolerance")
+        b[np.ix_(idx, idx)] = wk
         mats.append(wk)
-    u = _assemble(structure, mats)
     return CyclicUnitary(
-        matrix=u,
+        matrix=v @ b @ v.conj().T,
         structure=structure,
         block_unitaries=tuple(mats),
         reference_state_id=state.state_id,
@@ -209,24 +196,16 @@ def cyclic_from_matrix(state, u, *, tol_unitary=1e-10, tol_cyclic=TOL_CYCLIC,
     nb = state.dim_b
     if u.shape != (nb, nb):
         raise DimensionError(f"unitary shape {u.shape} does not match dim {nb}")
-    if not is_unitary(u, tol_unitary):
-        raise OperatorError("matrix is not unitary within tolerance")
-    _require_commutes(state.rho_b, u, tol_cyclic)
     structure = commutant_basis(state, eps_deg)
-    v = structure.basis
-    in_eigenbasis = v.conj().T @ u @ v
-    mats = [in_eigenbasis[np.ix_(idx, idx)] for _, idx in structure.blocks]
-    recon = _assemble(structure, mats)
-    leak = np.abs(recon - u).max()
-    if leak > 1e-10:
-        raise NotCyclicError(
-            "matrix couples nearly degenerate eigenspaces of rho_B "
-            f"(off-block leakage {leak:.3e})"
-        )
+    checks = _RowChecks()
+    in_eig = _check_cyclic(u[None], state.rho_b, structure.basis,
+                           _same_block(_level_splits(structure.eigenvalues, eps_deg)),
+                           tol_unitary, tol_cyclic, checks)
+    checks.raise_first()
     return CyclicUnitary(
         matrix=u,
         structure=structure,
-        block_unitaries=tuple(mats),
+        block_unitaries=_blocks(in_eig[0], structure),
         reference_state_id=state.state_id,
     )
 
@@ -273,11 +252,11 @@ class _RowChecks:
         self.first_index = first_index
         self.failures = {}
 
-    def fail(self, rows, bad, error, message):
+    def fail(self, bad, error, message):
         if not np.count_nonzero(bad):  # the common case, and cheap to test
             return
         for k in np.flatnonzero(bad):
-            self.failures.setdefault(int(rows[k]), (error, message(k)))
+            self.failures.setdefault(int(k), (error, message(k)))
 
     def raise_first(self):
         if not self.failures:
@@ -289,38 +268,73 @@ class _RowChecks:
         raise error(text)
 
 
-def _shifts_from_radicands(radicands, rows, checks):
-    checks.fail(rows, radicands < RADICAND_FLOOR, ConsistencyError, lambda k: (
+def _shifts_from_radicands(radicands, checks):
+    checks.fail(radicands < RADICAND_FLOOR, ConsistencyError, lambda k: (
         f"shift radicand {radicands[k]:.3e} is negative beyond rounding tolerance"))
-    checks.fail(rows, radicands > RADICAND_CEILING, ConsistencyError, lambda k: (
+    checks.fail(radicands > RADICAND_CEILING, ConsistencyError, lambda k: (
         f"shift radicand {float(radicands[k])!r} exceeds 1 beyond rounding tolerance"))
     return np.minimum(np.sqrt(np.maximum(radicands, 0.0)), 1.0)
 
 
-def _commutator_defects(rho_b, u):
-    return np.abs(rho_b @ u - u @ rho_b).max(axis=(-2, -1))
-
-
-def _check_commutes(rows, comm, tol_cyclic, checks):
-    checks.fail(rows, comm > tol_cyclic, NotCyclicError, lambda k: (
-        f"commutator with rho_B is {comm[k]:.3e}, above tolerance {tol_cyclic:.1e}"))
-
-
-def _require_commutes(rho_b, u, tol_cyclic):
+def _shift_from_radicand(radicand):
     checks = _RowChecks()
-    _check_commutes((0,), _commutator_defects(rho_b, u)[None], tol_cyclic, checks)
+    d = _shifts_from_radicands(np.array([radicand], dtype=float), checks)
     checks.raise_first()
+    return float(d[0])
+
+
+def _check_commutes(rho_b, u, tol_cyclic, checks):
+    # The largest entry of [rho_B, U] for each U of a stack.
+    comm = np.abs(rho_b @ u - u @ rho_b).max(axis=(-2, -1))
+    checks.fail(comm > tol_cyclic, NotCyclicError, lambda k: (
+        f"commutator with rho_B is {comm[k]:.3e}, above tolerance {tol_cyclic:.1e}"))
+    return comm
+
+
+def _same_block(splits):
+    # Entry (i, j) tells whether levels i and j share a block, from
+    # _level_splits along the last axis.
+    labels = np.zeros(splits.shape[:-1] + (splits.shape[-1] + 1,), dtype=int)
+    labels[..., 1:] = np.cumsum(splits, axis=-1)
+    return labels[..., :, None] == labels[..., None, :]
+
+
+def _check_cyclic(u, rho_b, basis, same_block, tol_unitary, tol_cyclic, checks):
+    """Check each U of a stack as a cyclic unitary; return it in the eigenbasis.
+
+    U must be unitary within ``tol_unitary``, commute with rho_B within
+    ``tol_cyclic``, and be block diagonal in the eigenbasis ``basis`` of
+    rho_B, whose blocks ``same_block`` marks: a matrix that passes the
+    commutator test but has entries above 1e-10 between nearly
+    degenerate unmerged eigenspaces fails.
+    """
+    defect = np.abs(u @ _adjoint(u) - np.eye(u.shape[-1])).max(axis=(-2, -1))
+    checks.fail(~(defect <= tol_unitary), OperatorError,
+                lambda k: "matrix is not unitary within tolerance")
+    _check_commutes(rho_b, u, tol_cyclic, checks)
+    in_eig = _adjoint(basis) @ u @ basis
+    leak = np.abs(np.where(same_block, 0.0, in_eig)).max(axis=(-2, -1))
+    checks.fail(leak > 1e-10, NotCyclicError, lambda k: (
+        "matrix couples nearly degenerate eigenspaces of rho_B "
+        f"(off-block leakage {leak[k]:.3e})"))
+    return in_eig
+
+
+def _blocks(in_eigenbasis, structure):
+    # The diagonal blocks of a matrix in the eigenbasis of rho_B
+    return tuple(in_eigenbasis[idx[0]:idx[-1] + 1, idx[0]:idx[-1] + 1]
+                 for _, idx in structure.blocks)
 
 
 def _adjoint(u):
     return u.conj().swapaxes(-1, -2)
 
 
-def _unitary_of(u):
-    if isinstance(u, CyclicUnitary):
-        return u.matrix
-    m = np.asarray(u, dtype=complex)
-    if not is_unitary(m):
+def _unitary_of(u, dim):
+    m = u.matrix if isinstance(u, CyclicUnitary) else np.asarray(u, dtype=complex)
+    if m.shape != (dim, dim):
+        raise DimensionError(f"unitary shape {m.shape} does not match dim {dim}")
+    if not isinstance(u, CyclicUnitary) and not is_unitary(m):
         raise OperatorError("matrix is not unitary within tolerance")
     return m
 
@@ -341,15 +355,23 @@ def _conj_b(rho, u, dims):
 
 def apply_cyclic(state, u):
     """Final state (I (x) U) rho (I (x) U)^dag as a BipartiteState."""
-    m = _unitary_of(u)
+    m = _unitary_of(u, state.dim_b)
     return BipartiteState(_conj_b(state.rho, m, state.dims), state.dims)
 
 
-def _shift_from_radicand(radicand):
-    checks = _RowChecks()
-    d = _shifts_from_radicands(np.array([radicand], dtype=float), (0,), checks)
-    checks.raise_first()
-    return float(d[0])
+def _direct_radicands(rhos, u, dims):
+    # shift_direct's half squared norm of rho - rho_f, for each unitary.
+    diff = _conj_b(rhos, u, dims)
+    np.subtract(rhos, diff, out=diff)
+    diff = diff.reshape(*diff.shape[:-2], 1, -1)
+    return 0.5 * (diff.conj() @ diff.swapaxes(-1, -2))[..., 0, 0].real
+
+
+def _direct_shifts(rhos, dims, rho_b, u, tol_cyclic, checks):
+    # shift_direct for each row: the commutator with rho_B, then the
+    # radicand's floor and ceiling.  Returns the commutators and shifts.
+    comm = _check_commutes(rho_b, u, tol_cyclic, checks)
+    return comm, _shifts_from_radicands(_direct_radicands(rhos, u, dims), checks)
 
 
 def shift_direct(state, u, *, tol_cyclic=TOL_CYCLIC):
@@ -364,13 +386,12 @@ def shift_direct(state, u, *, tol_cyclic=TOL_CYCLIC):
     state's rho_B within ``tol_cyclic`` (the check is against the state
     passed here, not the unitary's reference state).
     """
-    m = _unitary_of(u)
-    if m.shape != (state.dim_b, state.dim_b):
-        raise DimensionError(
-            f"unitary dim {m.shape[0]} does not match B dim {state.dim_b}"
-        )
-    _require_commutes(state.rho_b, m, tol_cyclic)
-    return _shift_from_radicand(float(_direct_radicands(state.rho, m, state.dims)))
+    m = _unitary_of(u, state.dim_b)
+    checks = _RowChecks()
+    _, d = _direct_shifts(state.rho[None], state.dims, state.rho_b[None], m[None],
+                          tol_cyclic, checks)
+    checks.raise_first()
+    return float(d[0])
 
 
 def conjugation_matrix(u, basis):
@@ -380,11 +401,7 @@ def conjugation_matrix(u, basis):
     that U g_j U^dag = sum_k R[k, j] g_k.  R is orthogonal for any
     unitary U.
     """
-    m = _unitary_of(u)
-    n = basis.dim
-    if m.shape != (n, n):
-        raise DimensionError(f"unitary dim {m.shape[0]} does not match basis dim {n}")
-    return _conjugation_matrices(m[None], basis.stack)[0]
+    return _conjugation_matrices(_unitary_of(u, basis.dim)[None], basis.stack)[0]
 
 
 def _conjugation_matrices(us, gs):
@@ -395,31 +412,44 @@ def _conjugation_matrices(us, gs):
 def beta_final(form, u):
     """Correlation matrix after the cyclic map, from the rotation form.
 
-    beta_f = beta R^T with R the conjugation matrix of U in the B-side
-    generator basis.  The Frobenius norm of beta is preserved; a
+    beta_f = beta R^T with R the conjugation matrix of U in the form's
+    B-side generator basis.  The Frobenius norm of beta is preserved; a
     violation beyond 1e-10 raises ConsistencyError.
     """
-    r = conjugation_matrix(u, gell_mann_basis(form.dim_b))
+    r = conjugation_matrix(u, form.bases()[1])
     checks = _RowChecks()
-    beta_f = _rotated_correlations(form.beta[None], r[None], (0,), checks)
+    beta_f = _rotated_correlations(form.beta[None], r[None], checks)
     checks.raise_first()
     return beta_f[0]
 
 
-def _rotated_correlations(beta, rot, rows, checks):
+def _rotated_correlations(beta, rot, checks):
     # beta R^T for each row, with the check that the norm of beta holds.
     beta_f = beta @ rot.swapaxes(-1, -2)
     drift = np.abs(np.sqrt((beta_f * beta_f).sum(axis=(-2, -1)))
                    - np.sqrt((beta * beta).sum(axis=(-2, -1))))
-    checks.fail(rows, drift > 1e-10, ConsistencyError, lambda k: (
+    checks.fail(drift > 1e-10, ConsistencyError, lambda k: (
         f"correlation norm drifted by {drift[k]:.3e} under a unitary conjugation"))
     return beta_f
 
 
-def _reduced_from_bloch(r, n):
-    # The n x n reduced matrix of a Bloch vector, or of each of a stack.
+def _reduced_from_bloch(r, basis):
+    # The reduced matrix of a Bloch vector in basis, or of each of a stack.
+    n = basis.dim
     cb = np.sqrt(n * (n - 1) / 2.0)
-    return (np.eye(n) + cb * np.einsum("...j,jab->...ab", r, gell_mann_basis(n).stack)) / n
+    return (np.eye(n) + cb * np.einsum("...j,jab->...ab", r, basis.stack)) / n
+
+
+def _correlation_shifts(beta, r_b, u, basis_b, dims, tol_cyclic, checks):
+    # shift_correlation for each row: the commutator with rho_B rebuilt
+    # from r_B, the norm of beta under the rotation, then the radicand's
+    # floor and ceiling.
+    _check_commutes(_reduced_from_bloch(r_b, basis_b), u, tol_cyclic, checks)
+    beta_f = _rotated_correlations(beta, _conjugation_matrices(u, basis_b.stack), checks)
+    na, nb = dims
+    pref = (na - 1) * (nb - 1) / (na * nb)
+    diff = beta - beta_f
+    return _shifts_from_radicands(pref * 0.5 * (diff * diff).sum(axis=(-2, -1)), checks)
 
 
 def shift_correlation(form, u, *, tol_cyclic=TOL_CYCLIC):
@@ -428,49 +458,105 @@ def shift_correlation(form, u, *, tol_cyclic=TOL_CYCLIC):
     d = sqrt( (NA-1)(NB-1)/(NA NB) * (|beta|^2 - sum_ij beta_ij beta_f_ij) ),
     evaluated as the equivalent half squared norm of beta - beta_f so
     the radicand stays exact as d approaches zero.  Agrees with
-    shift_direct for every cyclic unitary.
+    shift_direct for every cyclic unitary.  The form's coefficients are
+    read in the bases it records.
     """
-    m = _unitary_of(u)
-    _require_commutes(_reduced_from_bloch(form.r_b, form.dim_b), m, tol_cyclic)
-    beta_f = beta_final(form, u)
-    na, nb = form.dim_a, form.dim_b
-    pref = (na - 1) * (nb - 1) / (na * nb)
-    diff = form.beta - beta_f
-    radicand = pref * 0.5 * float(np.sum(diff * diff))
-    return _shift_from_radicand(radicand)
+    basis_b = form.bases()[1]
+    m = _unitary_of(u, basis_b.dim)
+    checks = _RowChecks()
+    d = _correlation_shifts(form.beta[None], form.r_b[None], m[None], basis_b,
+                            (form.dim_a, form.dim_b), tol_cyclic, checks)
+    checks.raise_first()
+    return float(d[0])
 
 
-def _finalize(state, form, unit, d_value, formula, method, restarts, certified, params,
-              tol_cyclic, nfev=0, restart_spread=0.0):
-    # Residuals compare squared shifts: the square root amplifies float
-    # noise without bound as d approaches zero, while the radicands
-    # agree to absolute precision everywhere.
-    d_dir = shift_direct(state, unit, tol_cyclic=tol_cyclic)
-    d_cor = shift_correlation(form, unit, tol_cyclic=tol_cyclic)
-    residual = abs(d_dir * d_dir - d_cor * d_cor)
-    if residual >= CROSS_CHECK_TOL:
-        raise ConsistencyError(
-            f"direct and correlation shifts disagree by {residual:.3e} "
-            "(squared) at the optimum"
-        )
+@dataclass(frozen=True, eq=False)
+class _States:
+    """A stack of states of one dims, with what the d_max methods read off them.
+
+    ``rho_b``, ``r_b`` and ``beta`` are computed as ``decompose``
+    computes them, in the Gell-Mann bases; ``levels`` and ``basis`` are
+    the ascending eigenvalues and the eigenvectors of rho_B, and
+    ``splits`` tells whether adjacent levels stay apart
+    (``_level_splits``).
+    """
+
+    rho: np.ndarray
+    dims: tuple
+    rho_b: np.ndarray
+    r_b: np.ndarray
+    beta: np.ndarray
+    levels: np.ndarray
+    basis: np.ndarray
+    splits: np.ndarray
+
+
+def _states(rhos, dims, eps_deg):
+    gb = gell_mann_basis(dims[1])
+    rho_b = partial_trace(rhos, dims, "B")
+    levels, basis = np.linalg.eigh(rho_b)
+    return _States(rhos, dims, rho_b, _bloch_vectors(rho_b, gb),
+                   _correlation_matrices(rhos, gell_mann_basis(dims[0]), gb),
+                   levels, basis, _level_splits(levels, eps_deg))
+
+
+def _verify(states, unitary, radicands, formula, tol_cyclic, checks):
+    """Shifts and cross-check residuals of each state under its B-side unitary.
+
+    ``radicands`` are the squared shifts a d_max method found through the
+    ``formula`` route ("direct" or "correlation").  Each row passes, in
+    order: their floor and ceiling; ``shift_direct``'s checks; those of
+    ``shift_correlation``; the cross-check of the two routes; and the
+    anchor check of the method's shift against its own route.  Residuals
+    compare squared shifts: the square root amplifies float noise without
+    bound as d approaches zero, while the radicands agree to absolute
+    precision everywhere.
+
+    A large eps_deg can merge distinct levels of rho_B, and only a loose
+    tol_cyclic lets through a unitary that mixes them.  When such a
+    unitary fails the cross-check or the anchor check, that is a bad
+    option, not a bug: MergedLevelsError instead of ConsistencyError.
+    """
+    d_val = _shifts_from_radicands(radicands, checks)
+    comm, d_dir = _direct_shifts(states.rho, states.dims, states.rho_b, unitary,
+                                 tol_cyclic, checks)
+    d_cor = _correlation_shifts(states.beta, states.r_b, unitary,
+                                gell_mann_basis(states.dims[1]), states.dims, tol_cyclic, checks)
+    residual = np.abs(d_dir * d_dir - d_cor * d_cor)
     anchor = d_dir if formula == "direct" else d_cor
-    if abs(d_value * d_value - anchor * anchor) > 1e-10:
-        raise ConsistencyError(
-            f"optimized shift {d_value:.12g} does not match its own formula "
-            f"re-evaluation {anchor:.12g}"
-        )
-    return ShiftResult(
-        d=float(d_value),
-        formula=formula,
-        method=method,
-        unitary=unit,
-        cross_check_residual=float(residual),
-        restarts=restarts,
-        certified=certified,
-        params=params,
-        nfev=nfev,
-        restart_spread=restart_spread,
-    )
+    loose = ~states.splits.all(axis=-1) & (comm > TOL_CYCLIC)
+
+    def merged_levels(k):
+        # the two adjacent levels of row k furthest apart that eps_deg merged
+        levels = states.levels[k]
+        low = np.where(states.splits[k], -np.inf, np.diff(levels)).argmax()
+        return f"{levels[low]:.6g} and {levels[low + 1]:.6g}"
+
+    def disagree(bad, message):
+        if not np.count_nonzero(bad):
+            return
+        checks.fail(bad & loose, MergedLevelsError, lambda k: (
+            f"{message(k)}: eps_deg merged the distinct rho_B levels {merged_levels(k)}, "
+            f"and tol_cyclic {tol_cyclic:.1e} admitted a unitary that commutes with rho_B "
+            f"only to {comm[k]:.3e}; lower --eps-deg or --tol-cyclic"))
+        checks.fail(bad & ~loose, ConsistencyError, message)
+
+    disagree(residual >= CROSS_CHECK_TOL, lambda k: (
+        f"direct and correlation shifts disagree by {residual[k]:.3e} (squared) at the optimum"))
+    disagree(np.abs(d_val * d_val - anchor * anchor) > 1e-10, lambda k: (
+        f"optimized shift {d_val[k]:.12g} does not match its own formula "
+        f"re-evaluation {anchor[k]:.12g}"))
+    return d_val, residual
+
+
+def _finalize(states, unit, radicand, formula, method, tol_cyclic, **fields):
+    """ShiftResult of the unitary a d_max method found: the verifier's N=1 call."""
+    checks = _RowChecks()
+    d, residual = _verify(states, unit.matrix[None], np.array([radicand], dtype=float),
+                          formula, tol_cyclic, checks)
+    checks.raise_first()
+    return ShiftResult(d=float(d[0]), formula=formula, method=method, unitary=unit,
+                       cross_check_residual=float(residual[0]), **fields)
 
 
 @dataclass(frozen=True, eq=False)
@@ -480,16 +566,13 @@ class _QubitBForms:
     d: np.ndarray
     beta: np.ndarray
     merged: np.ndarray
-    eigenvalues: np.ndarray
-    basis: np.ndarray
     unitary: np.ndarray
-    in_eigenbasis: np.ndarray
     phi: np.ndarray
     axis: np.ndarray
     residual: np.ndarray
 
 
-def _half_turns(rhos, rho_b, r_b, mmat, basis, merged, dims, pref, tol_cyclic, checks):
+def _half_turns(states, tol_cyclic, checks):
     # Both closed forms are the half turn U = exp(i pi/2 w.sigma) = i w.sigma.
     # Its conjugation rotates beta into beta (2 w w^T - I), so
     # d^2 = 2 pref (Tr M - w^T M w) with M = beta^T beta, and only the axis
@@ -498,7 +581,12 @@ def _half_turns(rhos, rho_b, r_b, mmat, basis, merged, dims, pref, tol_cyclic, c
     # (Tr M - u^T M u) peaks at phi = pi.  With merged levels every axis
     # is allowed, and the best one is the least eigenvector of M, where
     # Tr M - w^T M w is the sum of the two larger eigenvalues.
-    rows = np.arange(len(rhos))
+    # Returns the unitaries, them in the eigenbasis of rho_B, the
+    # radicands, phi and the axes.
+    na, nb = states.dims
+    r_b, beta, basis = states.r_b, states.beta, states.basis
+    merged = ~states.splits[:, 0]
+    mmat = beta.transpose(0, 2, 1) @ beta
     # the Bloch axis of rho_B; merged rows take theirs from M below
     norms = np.sqrt((r_b[:, None, :] @ r_b[:, :, None])[:, 0, 0])
     axis = r_b / np.where(merged, 1.0, norms)[:, None]
@@ -515,43 +603,21 @@ def _half_turns(rhos, rho_b, r_b, mmat, basis, merged, dims, pref, tol_cyclic, c
     # On two-level rows U is built in the eigenbasis of rho_B, where it is
     # diag(-i, i) exactly: rebuilt from the Bloch axis, it leaks between
     # levels that are only 1e-8 apart.
-    u = np.zeros((len(rows), 2, 2), dtype=complex)
-    in_eig = np.zeros((len(rows), 2, 2), dtype=complex)
-    in_eig[:, 0, 0] = np.where(moving, -1j, 1.0)
-    in_eig[:, 1, 1] = np.where(moving, 1j, 1.0)
-    turning = merged & moving
-    if turning.any():
-        w_vec = axis[turning]
-        half_turn = 1j * (w_vec[:, 0, None, None] * SIGMA_1 + w_vec[:, 1, None, None] * SIGMA_2
-                          + w_vec[:, 2, None, None] * SIGMA_3)
-        u[turning] = half_turn
-        v = basis[turning]
-        in_eig[turning] = _adjoint(v) @ half_turn @ v
-    u[merged & ~moving] = _IDENTITY_2
-    d_val = _shifts_from_radicands(np.where(moving, 2.0 * pref * spread, 0.0), rows, checks)
-    phi = np.where(moving, math.pi, 0.0)
-    recon = basis @ in_eig @ _adjoint(basis)
-    u = np.where(merged[:, None, None], u, recon)
-    # The checks of cyclic_from_matrix: unitary, commuting with rho_B,
-    # and block diagonal in its eigenbasis.
-    checks.fail(rows, np.abs(u @ _adjoint(u) - _IDENTITY_2).max(axis=(1, 2)) > 1e-10,
-                OperatorError, lambda k: "matrix is not unitary within tolerance")
-    comm = _commutator_defects(rho_b, u)
-    _check_commutes(rows, comm, tol_cyclic, checks)
-    leak = np.abs(recon - u).max(axis=(1, 2))
-    checks.fail(rows, leak > 1e-10, NotCyclicError, lambda k: (
-        "matrix couples nearly degenerate eigenspaces of rho_B "
-        f"(off-block leakage {leak[k]:.3e})"))
-    d_dir = _shifts_from_radicands(_direct_radicands(rhos, u, dims), rows, checks)
-    return d_val, phi, axis, u, in_eig, d_dir, comm
-
-
-def _direct_radicands(rhos, u, dims):
-    # shift_direct's half squared norm of rho - rho_f, for each unitary.
-    diff = _conj_b(rhos, u, dims)
-    np.subtract(rhos, diff, out=diff)
-    diff = diff.reshape(*diff.shape[:-2], 1, -1)
-    return 0.5 * (diff.conj() @ diff.swapaxes(-1, -2))[..., 0, 0].real
+    diag = np.zeros((len(moving), 2, 2), dtype=complex)
+    diag[:, 0, 0] = np.where(moving, -1j, 1.0)
+    diag[:, 1, 1] = np.where(moving, 1j, 1.0)
+    u = basis @ diag @ _adjoint(basis)
+    if merged.any():
+        w_vec = axis[merged & moving]
+        u[merged & moving] = 1j * (w_vec[:, 0, None, None] * SIGMA_1
+                                   + w_vec[:, 1, None, None] * SIGMA_2
+                                   + w_vec[:, 2, None, None] * SIGMA_3)
+        u[merged & ~moving] = _IDENTITY_2
+    in_eig = _check_cyclic(u, states.rho_b, basis, _same_block(states.splits), 1e-10,
+                           tol_cyclic, checks)
+    pref = (na - 1) * (nb - 1) / (na * nb)
+    radicands = np.where(moving, 2.0 * pref * spread, 0.0)
+    return u, in_eig, radicands, np.where(moving, math.pi, 0.0), axis
 
 
 def _qubit_b_closed_forms(rhos, dims, *, eps_deg=EPS_DEGENERATE, tol_cyclic=TOL_CYCLIC,
@@ -562,87 +628,31 @@ def _qubit_b_closed_forms(rhos, dims, *, eps_deg=EPS_DEGENERATE, tol_cyclic=TOL_
     (gap at least ``eps_deg * max(1, lambda_max)``, as in
     ``commutant_basis``) takes the phase form, the others the rotation
     form; both are a half turn, about different axes.  Every row then
-    passes the direct/correlation cross-check and the checks that
-    ``make_cyclic``, ``cyclic_from_matrix``, ``shift_direct``,
-    ``shift_correlation`` and ``beta_final`` make on one state.  The first failure of the lowest failing row is raised,
-    named ``row first_index + i`` when ``first_index`` is given.
+    passes the checks of ``cyclic_from_matrix`` and of ``_verify``.  The
+    first failure of the lowest failing row is raised, named
+    ``row first_index + i`` when ``first_index`` is given.
     """
-    na, nb = dims
-    everyone = np.arange(len(rhos))
     checks = _RowChecks(first_index)
-    pauli = gell_mann_basis(2)
-    pref = (na - 1) * (nb - 1) / (na * nb)
-
-    rho_b = partial_trace(rhos, dims, "B")
-    r_b = _bloch_vectors(rho_b, pauli)
-    beta = _correlation_matrices(rhos, gell_mann_basis(na), pauli)
-    mmat = beta.transpose(0, 2, 1) @ beta
-    w, basis = np.linalg.eigh(rho_b)
-    merged = ~_level_splits(w, eps_deg)[:, 0]
-    d_val, phi, axis, unitary, in_eig, d_dir, comm = _half_turns(
-        rhos, rho_b, r_b, mmat, basis, merged, dims, pref, tol_cyclic, checks)
-
-    # _finalize's cross-check.  Residuals compare squared shifts: the
-    # square root amplifies float noise without bound as d approaches
-    # zero, while the radicands agree to absolute precision everywhere.
-    _check_commutes(everyone, _commutator_defects(_reduced_from_bloch(r_b, 2), unitary),
-                    tol_cyclic, checks)
-    beta_f = _rotated_correlations(beta, _conjugation_matrices(unitary, pauli.stack),
-                                   everyone, checks)
-    diff = beta - beta_f
-    d_cor = _shifts_from_radicands(pref * 0.5 * (diff * diff).sum(axis=(1, 2)),
-                                   everyone, checks)
-    residual = np.abs(d_dir * d_dir - d_cor * d_cor)
-    # A large eps_deg can merge distinct levels; the rotation form then
-    # assumes rho_B = I/2, and only a loose tol_cyclic lets its unitary
-    # through.  Such a disagreement is a bad option, not a bug.
-    loose = merged & (comm > TOL_CYCLIC)
-
-    def disagree(bad, message):
-        if not np.count_nonzero(bad):
-            return
-        checks.fail(everyone, bad & loose, MergedLevelsError, lambda k: (
-            f"{message(k)}: eps_deg merged the distinct rho_B levels "
-            f"{w[k, 0]:.6g} and {w[k, 1]:.6g}, and tol_cyclic {tol_cyclic:.1e} admitted a "
-            f"unitary that commutes with rho_B only to {comm[k]:.3e}; lower --eps-deg "
-            "or --tol-cyclic"))
-        checks.fail(everyone, bad & ~loose, ConsistencyError, message)
-
-    disagree(residual >= CROSS_CHECK_TOL, lambda k: (
-        f"direct and correlation shifts disagree by {residual[k]:.3e} (squared) at the optimum"))
-    disagree(np.abs(d_val * d_val - d_cor * d_cor) > 1e-10, lambda k: (
-        f"optimized shift {d_val[k]:.12g} does not match its own formula "
-        f"re-evaluation {d_cor[k]:.12g}"))
+    states = _states(rhos, dims, eps_deg)
+    unitary, _, radicands, phi, axis = _half_turns(states, tol_cyclic, checks)
+    d, residual = _verify(states, unitary, radicands, "correlation", tol_cyclic, checks)
     checks.raise_first()
-    return _QubitBForms(d=d_val, beta=beta, merged=merged, eigenvalues=w, basis=basis,
-                        unitary=unitary, in_eigenbasis=in_eig, phi=phi, axis=axis,
-                        residual=residual)
+    return _QubitBForms(d=d, beta=states.beta, merged=~states.splits[:, 0], unitary=unitary,
+                        phi=phi, axis=axis, residual=residual)
 
 
-def _closed_form_result(state, eps_deg, tol_cyclic):
+def _closed_form_result(state, states, structure, tol_cyclic):
     """ShiftResult of the qubit-B closed forms: the N=1 case of the batch."""
-    forms = _qubit_b_closed_forms(state.rho[None], state.dims, eps_deg=eps_deg,
-                                  tol_cyclic=tol_cyclic)
-    # the batch split the two levels with _level_splits, as commutant_basis does
-    structure = _structure(forms.eigenvalues[0].copy(), forms.basis[0].copy(), ~forms.merged[:1])
-    method = "rotation-closed-form" if forms.merged[0] else "phase-closed-form"
-    unit = CyclicUnitary(
-        matrix=forms.unitary[0],
-        structure=structure,
-        block_unitaries=tuple(forms.in_eigenbasis[0, idx[0]:idx[-1] + 1, idx[0]:idx[-1] + 1]
-                              for _, idx in structure.blocks),
-        reference_state_id=state.state_id,
-    )
-    return ShiftResult(
-        d=float(forms.d[0]),
-        formula="correlation",
-        method=method,
-        unitary=unit,
-        cross_check_residual=float(forms.residual[0]),
-        restarts=0,
-        certified=True,
-        params={"phi": float(forms.phi[0]), "axis": [float(x) for x in forms.axis[0]]},
-    )
+    checks = _RowChecks()
+    unitary, in_eig, radicands, phi, axis = _half_turns(states, tol_cyclic, checks)
+    checks.raise_first()
+    unit = CyclicUnitary(matrix=unitary[0], structure=structure,
+                         block_unitaries=_blocks(in_eig[0], structure),
+                         reference_state_id=state.state_id)
+    method = "phase-closed-form" if states.splits[0, 0] else "rotation-closed-form"
+    return _finalize(states, unit, radicands[0], "correlation", method, tol_cyclic,
+                     restarts=0, certified=True,
+                     params={"phi": float(phi[0]), "axis": [float(x) for x in axis[0]]})
 
 
 def _block_layout(sizes):
@@ -778,7 +788,7 @@ def _riemannian_descent(mmat, groups, starts, max_iters):
     return x, converged, nfev
 
 
-def _dmax_generic(state, form, structure, restarts, rng, max_iters, tol_cyclic):
+def _dmax_generic(state, states, structure, restarts, rng, max_iters, tol_cyclic):
     sizes = structure.block_sizes
     rho_rot = _conj_b(state.rho, _adjoint(structure.basis), state.dims)
     mmat = _quadratic_form(rho_rot, state.dims, sizes)
@@ -799,12 +809,11 @@ def _dmax_generic(state, form, structure, restarts, rng, max_iters, tol_cyclic):
     best = int(np.argmax(radicands))
     d_runs = np.sqrt(np.maximum(radicands, 0.0))
     params = {"phases": theta[best].tolist()} if phase_family else {}
-    blocks = [w[best, idx[0]:idx[-1] + 1, idx[0]:idx[-1] + 1] for _, idx in structure.blocks]
     return _finalize(
-        state, form, make_cyclic(state, blocks, structure=structure),
-        _shift_from_radicand(float(radicands[best])), "direct", "multistart", restarts=restarts,
-        certified=bool(converged[best]), params=params,
-        tol_cyclic=tol_cyclic, nfev=nfev, restart_spread=float(d_runs.max() - d_runs.min()))
+        states, make_cyclic(state, _blocks(w[best], structure), structure=structure),
+        float(radicands[best]), "direct", "multistart", tol_cyclic, restarts=restarts,
+        certified=bool(converged[best]), params=params, nfev=nfev,
+        restart_spread=float(d_runs.max() - d_runs.min()))
 
 
 def _qutrit_phases(weights):
@@ -844,15 +853,12 @@ def _qutrit_phases(weights):
     return radicand, phases
 
 
-def _dmax_qutrit_phases(state, form, structure, tol_cyclic):
+def _dmax_qutrit_phases(state, states, structure, tol_cyclic):
     rho_rot = _conj_b(state.rho, structure.basis.conj().T, state.dims)
     radicand, phases = _qutrit_phases(_quadratic_form(rho_rot, state.dims, (1, 1, 1)))
     unit = make_cyclic(state, [np.array([[np.exp(1j * t)]]) for t in phases], structure=structure)
-    return _finalize(
-        state, form, unit, _shift_from_radicand(radicand), "direct",
-        "qutrit-phase-closed-form", restarts=0, certified=True,
-        params={"phases": phases}, tol_cyclic=tol_cyclic,
-    )
+    return _finalize(states, unit, radicand, "direct", "qutrit-phase-closed-form", tol_cyclic,
+                     restarts=0, certified=True, params={"phases": phases})
 
 
 def d_max(state, *, restarts=16, method="auto", rng=None, eps_deg=EPS_DEGENERATE,
@@ -889,27 +895,24 @@ def d_max(state, *, restarts=16, method="auto", rng=None, eps_deg=EPS_DEGENERATE
     Returns
     -------
     ShiftResult
-    """
-    return _d_max_of_form(state, None, restarts=restarts, method=method, rng=rng,
-                          eps_deg=eps_deg, max_iters=max_iters, tol_cyclic=tol_cyclic)
+        Whatever the method, verified by the checks of ``shift_direct``
+        and ``shift_correlation`` and the cross-check of the two.
 
-
-def _d_max_of_form(state, form, *, restarts=16, method="auto", rng=None,
-                   eps_deg=EPS_DEGENERATE, max_iters=None, tol_cyclic=TOL_CYCLIC):
-    """``d_max`` for a caller that may already hold the state's Bloch form.
-
-    The qubit closed forms compute what they need from the density
-    matrix; the qutrit closed form and the generic optimizer decompose
-    the state when ``form`` is None.
+    Raises
+    ------
+    MergedLevelsError
+        For every method, when the formulas disagree because ``eps_deg``
+        merged distinct levels of rho_B and a loose ``tol_cyclic`` let
+        through a unitary that mixes them; ConsistencyError otherwise.
     """
     if method not in ("auto", "generic"):
         raise ValueError(f"method must be 'auto' or 'generic', got {method!r}")
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
+    states = _states(state.rho[None], state.dims, eps_deg)
+    structure = _structure(states.levels[0].copy(), states.basis[0].copy(), states.splits[0])
     if method == "auto" and state.dim_b == 2:
-        return _closed_form_result(state, eps_deg, tol_cyclic)
-    structure = commutant_basis(state, eps_deg)
-    form = decompose(state) if form is None else form
+        return _closed_form_result(state, states, structure, tol_cyclic)
     if method == "auto" and structure.block_sizes == (1, 1, 1):
-        return _dmax_qutrit_phases(state, form, structure, tol_cyclic)
-    return _dmax_generic(state, form, structure, restarts, rng, max_iters, tol_cyclic)
+        return _dmax_qutrit_phases(state, states, structure, tol_cyclic)
+    return _dmax_generic(state, states, structure, restarts, rng, max_iters, tol_cyclic)

@@ -185,7 +185,6 @@ def test_bound_violators_are_ppt_negative():
                                    next(sample_random_state(83, dims=(2, 3), count=1))])
 def test_detect_decomposes_once(monkeypatch, state):
     import cycshift.analysis
-    import cycshift.cyclic
 
     calls = []
 
@@ -194,7 +193,6 @@ def test_detect_decomposes_once(monkeypatch, state):
         return decompose(st, *args, **kwargs)
 
     monkeypatch.setattr(cycshift.analysis, "decompose", counting)
-    monkeypatch.setattr(cycshift.cyclic, "decompose", counting)
     report = detect(state, restarts=2, rng=np.random.default_rng(3))
     assert len(calls) == 1
     assert report.d_max == d_max(state, restarts=2, rng=np.random.default_rng(3)).d

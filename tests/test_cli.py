@@ -10,7 +10,7 @@ import pytest
 import cycshift
 import cycshift.cli
 import cycshift.cyclic
-from cycshift.bloch import decompose
+from cycshift.bloch import BipartiteState, decompose
 from cycshift.cli import main
 from cycshift.cyclic import d_max
 from cycshift.errors import NotAStateError
@@ -372,6 +372,19 @@ def test_merged_levels_with_loose_tol_cyclic_exit_2(capsys, argv):
     # the rotation form's non-commuting unitary reach the cross-check
     code, _, err = run_cli(capsys, *argv, "--eps-deg", "0.5", "--tol-cyclic", "1.0")
     assert code == 2
+    assert "--eps-deg" in err and "--tol-cyclic" in err
+
+
+def test_merged_qutrit_levels_with_loose_tol_cyclic_exit_2(tmp_path, capsys):
+    # the generic optimizer on one merged block of a 2x3 state whose rho_B
+    # levels are distinct but within eps-deg 0.5 of each other
+    rho = 0.05 * random_state_at(0, 0, (2, 3)).rho + 0.95 * np.eye(6) / 6
+    path = tmp_path / "merged23.json"
+    path.write_text(json.dumps(state_to_json(BipartiteState(rho, (2, 3)))))
+    code, out, err = run_cli(capsys, "dmax", "--state", str(path),
+                             "--eps-deg", "0.5", "--tol-cyclic", "1.0")
+    assert code == 2
+    assert out == ""
     assert "--eps-deg" in err and "--tol-cyclic" in err
 
 

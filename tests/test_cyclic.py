@@ -24,7 +24,7 @@ from cycshift.cyclic import (
     shift_direct,
 )
 from cycshift.errors import ConsistencyError, MergedLevelsError, NotCyclicError, OperatorError
-from cycshift.operators import gell_mann_basis, partial_trace, tensor
+from cycshift.operators import GeneratorBasis, gell_mann_basis, partial_trace, tensor
 from cycshift.states import (
     bell_state,
     cc5050,
@@ -105,6 +105,21 @@ def test_cyclic_from_matrix_rejects_non_commuting():
     state = schmidt_state(0.6, 0.8)
     with pytest.raises(NotCyclicError):
         cyclic_from_matrix(state, PAULI[0])
+
+
+def test_cyclic_from_matrix_rejects_coupling_of_unmerged_levels():
+    # rho_B levels (1 -+ 1e-8)/2 stay apart at the default eps_deg; a loose
+    # tol_cyclic admits sigma_1 in their eigenbasis, which swaps them
+    psi = np.zeros(4, dtype=complex)
+    psi[0], psi[3] = math.sqrt(0.5 + 0.5e-8), math.sqrt(0.5 - 0.5e-8)
+    state = BipartiteState(np.outer(psi, psi.conj()), (2, 2))
+    swap = PAULI[0]
+    with pytest.raises(NotCyclicError, match=r"couples nearly degenerate .* leakage 1\.000e\+00"):
+        cyclic_from_matrix(state, swap, tol_cyclic=1e-6)
+    # merged by eps_deg, the same matrix is one block of the commutant
+    unit = cyclic_from_matrix(state, swap, tol_cyclic=1e-6, eps_deg=1e-6)
+    assert unit.structure.block_sizes == (2,)
+    assert np.array_equal(unit.block_unitaries[0], swap)
 
 
 def test_cyclic_from_matrix_rejects_non_unitary():
@@ -512,12 +527,41 @@ def test_batch_names_the_row_whose_cross_check_fails():
         _qubit_b_closed_forms(rhos, (2, 2), first_index=100)
 
 
-def test_merged_levels_are_a_bad_option_not_a_bug():
-    state = schmidt_state(0.8, 0.6)
+def near_maximally_mixed(dims, index):
+    """A random state mixed 1:19 with I/n: every level of rho_B lies within 0.05 of 1/dB."""
+    n = dims[0] * dims[1]
+    return BipartiteState(0.05 * random_state_at(0, index, dims).rho + 0.95 * np.eye(n) / n, dims)
+
+
+@pytest.mark.parametrize("state", [schmidt_state(0.8, 0.6)] + [
+    near_maximally_mixed(dims, i) for dims in ((2, 3), (3, 3), (2, 4)) for i in range(3)
+], ids=["schmidt"] + [f"{a}x{b}-{i}" for a, b in ((2, 3), (3, 3), (2, 4)) for i in range(3)])
+def test_merged_levels_are_a_bad_option_not_a_bug(state):
+    # eps_deg 0.5 merges distinct levels of rho_B and tol_cyclic 1.0 admits
+    # a unitary that mixes them: the qubit rotation form, the generic
+    # optimizer on one merged block of a qutrit or ququart B side
     with pytest.raises(MergedLevelsError, match="--eps-deg.*--tol-cyclic"):
         d_max(state, eps_deg=0.5, tol_cyclic=1.0)
     assert issubclass(MergedLevelsError, ValueError)
     assert not issubclass(MergedLevelsError, ConsistencyError)
+
+
+def test_merged_levels_message_names_the_widest_merged_gap():
+    # the qubit message, and on a qutrit B side the adjacent pair of
+    # merged levels that lie furthest apart
+    with pytest.raises(MergedLevelsError) as info:
+        d_max(schmidt_state(0.8, 0.6), eps_deg=0.5, tol_cyclic=1.0)
+    assert str(info.value) == (
+        "direct and correlation shifts disagree by 3.920e-02 (squared) at the optimum: "
+        "eps_deg merged the distinct rho_B levels 0.36 and 0.64, and tol_cyclic 1.0e+00 "
+        "admitted a unitary that commutes with rho_B only to 2.800e-01; lower --eps-deg "
+        "or --tol-cyclic")
+    state = near_maximally_mixed((2, 3), 0)
+    w = np.linalg.eigvalsh(state.rho_b)
+    widest = int(np.argmax(np.diff(w)))
+    with pytest.raises(MergedLevelsError,
+                       match=f"levels {w[widest]:.6g} and {w[widest + 1]:.6g},"):
+        d_max(state, eps_deg=0.5, tol_cyclic=1.0)
 
 
 def _half_turn(axis):
@@ -617,3 +661,19 @@ def test_qutrit_b_with_a_degenerate_pair_takes_the_optimizer():
     result = d_max(state, restarts=2, rng=0)
     assert result.unitary.structure.block_sizes == (1, 2)
     assert result.method == "multistart"
+
+
+def test_shift_correlation_reads_the_form_in_its_own_bases():
+    # a form decomposed in a permuted Pauli basis, where the canonical
+    # reading of its r_B gives a rho_B the phase unitary does not commute with
+    state = random_state_at(3, 0)
+    permuted = GeneratorBasis(dim=2, matrices=tuple(PAULI[i] for i in (2, 0, 1)))
+    unit = phase_cyclic(state, 1.3)
+    form = decompose(state, permuted, permuted)
+    want = shift_direct(state, unit)
+    assert abs(want - 0.2883) < 1e-4
+    assert abs(shift_correlation(form, unit) - want) < 1e-12
+    assert abs(np.linalg.norm(beta_final(form, unit)) - form.beta_norm) < 1e-12
+    # beta_f in the permuted basis is the canonical beta_f permuted
+    canonical = beta_final(decompose(state), unit)
+    assert np.abs(beta_final(form, unit) - canonical[np.ix_((2, 0, 1), (2, 0, 1))]).max() < 1e-12
