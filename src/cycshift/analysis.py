@@ -131,7 +131,7 @@ def detect(state, *, restarts=16, rng=None, tol_bound=TOL_BOUND,
     )
 
 
-def gisin_bmax(state, *, restarts=16, rng=None):
+def gisin_bmax(state):
     """Largest CHSH value reachable with local filters on a pure state.
 
     For a pure two-qubit state this equals 2 sqrt(1 + d_max^2), tying
@@ -146,5 +146,4 @@ def gisin_bmax(state, *, restarts=16, rng=None):
         raise NotAStateError(
             f"gisin_bmax needs a pure state, got purity {purity:.12g}"
         )
-    result = d_max(state, restarts=restarts, rng=rng)
-    return 2.0 * math.sqrt(1.0 + result.d ** 2)
+    return 2.0 * math.sqrt(1.0 + d_max(state).d ** 2)

@@ -31,7 +31,7 @@ from .cyclic import (
     shift_direct,
 )
 from .errors import ConsistencyError, DimensionError, RecoveryError
-from .operators import SIGMA_1, SIGMA_2, SIGMA_3, gell_mann_basis, tensor
+from .operators import _pauli, gell_mann_basis, tensor
 
 X_AXIS = np.array([1.0, 0.0, 0.0])
 Y_AXIS = np.array([0.0, 1.0, 0.0])
@@ -39,10 +39,6 @@ Z_AXIS = np.array([0.0, 0.0, 1.0])
 
 FLAT_TOL = 1e-8
 MATCH_TOL = 1e-6
-
-
-def _axis_operator(v):
-    return v[0] * SIGMA_1 + v[1] * SIGMA_2 + v[2] * SIGMA_3
 
 
 def _unit(v, name):
@@ -83,8 +79,7 @@ def correlator(state, alice_axis, bob_axis):
     """E = Tr(rho (a.sigma) (x) (b.sigma)) for a two-qubit state."""
     if state.dims != (2, 2):
         raise DimensionError(f"correlator needs a two-qubit state, got dims {state.dims}")
-    op = tensor(_axis_operator(np.asarray(alice_axis, dtype=float)),
-                _axis_operator(np.asarray(bob_axis, dtype=float)))
+    op = tensor(_pauli(alice_axis), _pauli(bob_axis))
     return float(np.trace(state.rho @ op).real)
 
 

@@ -12,10 +12,12 @@ States are named either by a builtin pattern (``bell``, ``schmidt:0.6``,
 ``werner:0.5``, ``cc5050``, ``maxmixed:2x3``) or by a path to a JSON
 file with ``dims`` and a row-major ``matrix`` of [re, im] pairs.
 
-Every numeric option can also be set through an environment variable
-``CYCSHIFT_<NAME>`` (``CYCSHIFT_RESTARTS``, ``CYCSHIFT_TOL_PSD``, ...);
-a command line flag wins over the environment, which wins over the
-built-in default.
+Each subcommand accepts only the numeric options it reads (``RunConfig``
+lists them) and exits 2 on the others.  Every numeric option can also be
+set through an environment variable ``CYCSHIFT_<NAME>``
+(``CYCSHIFT_RESTARTS``, ``CYCSHIFT_TOL_PSD``, ...), a default for every
+subcommand; a command line flag wins over the environment, which wins
+over the built-in default.
 
 Exit codes: 0 success, 2 bad input or unrecoverable protocol geometry,
 3 internal consistency failure (two formulas disagreeing, which means a
@@ -28,7 +30,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -53,27 +55,46 @@ SCAN_SCHEMA = "scan-schema=v1"
 SCAN_HEADER = "index,family,param,d_max,beta_norm,ppt_entangled,bound_violated"
 
 
+def _option(default, read_by, help):
+    return field(default=default, metadata={"read_by": frozenset(read_by.split()), "help": help})
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved numeric options shared by all subcommands.
+    """Resolved numeric options.
 
-    The one table of the options' names, types and built-in defaults.
+    The one table of the options' names, types, built-in defaults, the
+    subcommands that read them, and help texts.  A subcommand accepts
+    exactly the flags it reads; ``chsh --restarts`` is the one flag that
+    is accepted, validated and ignored.
     """
 
-    seed: int = 0
-    restarts: int = 16
-    workers: int = 1
-    tol_herm: float = 1e-10
-    tol_psd: float = 1e-10
-    tol_cyclic: float = 1e-9
-    eps_deg: float = 1e-9
-    tol_bound: float = 1e-9
+    seed: int = _option(0, "dmax detect scan",
+                        "base seed for samplers and optimizer restarts")
+    restarts: int = _option(16, "dmax detect chsh",
+                            "multi-start count for the generic d_max optimizer "
+                            "(no effect where d_max has a closed form: a qubit B side "
+                            "or a nondegenerate qutrit B side; nor on chsh, whose "
+                            "optimum is exact)")
+    workers: int = _option(1, "scan",
+                           "parallel worker processes, each computing one contiguous "
+                           "block of rows")
+    tol_herm: float = _option(1e-10, "decompose dmax detect chsh",
+                              "Hermiticity tolerance for state validation")
+    tol_psd: float = _option(1e-10, "decompose dmax detect chsh",
+                             "positivity tolerance for state validation")
+    tol_cyclic: float = _option(1e-9, "dmax detect scan chsh",
+                                "commutation tolerance for cyclic unitaries")
+    eps_deg: float = _option(1e-9, "dmax detect scan chsh",
+                             "eigenvalue gap below which levels count as degenerate")
+    tol_bound: float = _option(1e-9, "detect scan",
+                               "margin when testing the separable shift bound")
 
 
 def _resolve_config(args):
     values = {}
-    for field in fields(RunConfig):
-        key, caster = field.name, field.type
+    for option in fields(RunConfig):
+        key, caster = option.name, option.type
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = caster(flag)
@@ -81,7 +102,7 @@ def _resolve_config(args):
         env_name = ENV_PREFIX + key.upper()
         raw = os.environ.get(env_name)
         if raw is None:
-            values[key] = field.default
+            values[key] = option.default
             continue
         try:
             values[key] = caster(raw)
@@ -97,10 +118,10 @@ def _resolve_config(args):
         raise ValueError(f"restarts must be >= 1, got {config.restarts}")
     if config.workers < 1:
         raise ValueError(f"workers must be >= 1, got {config.workers}")
-    for field in fields(RunConfig):
-        value = getattr(config, field.name)
-        if field.type is float and value <= 0.0:
-            raise ValueError(f"{field.name} must be positive, got {value}")
+    for option in fields(RunConfig):
+        value = getattr(config, option.name)
+        if option.type is float and value <= 0.0:
+            raise ValueError(f"{option.name} must be positive, got {value}")
     return config
 
 
@@ -343,27 +364,11 @@ def _cmd_scan(args, config):
     return "\n".join(lines) + "\n"
 
 
-def _add_config_flags(parser):
-    parser.add_argument("--seed", type=int, default=None,
-                        help="base seed for samplers and optimizer restarts")
-    parser.add_argument("--restarts", type=int, default=None,
-                        help="multi-start count for the generic d_max optimizer "
-                             "(no effect where d_max has a closed form: a qubit B side, "
-                             "a nondegenerate qutrit B side, the two-qubit scan "
-                             "families; nor on chsh, whose optimum is exact)")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="parallel worker processes (scan only; each computes "
-                             "one contiguous block of rows)")
-    parser.add_argument("--tol-herm", type=float, default=None, dest="tol_herm",
-                        help="Hermiticity tolerance for state validation")
-    parser.add_argument("--tol-psd", type=float, default=None, dest="tol_psd",
-                        help="positivity tolerance for state validation")
-    parser.add_argument("--tol-cyclic", type=float, default=None, dest="tol_cyclic",
-                        help="commutation tolerance for cyclic unitaries")
-    parser.add_argument("--eps-deg", type=float, default=None, dest="eps_deg",
-                        help="eigenvalue gap below which levels count as degenerate")
-    parser.add_argument("--tol-bound", type=float, default=None, dest="tol_bound",
-                        help="margin when testing the separable shift bound")
+def _add_config_flags(parser, command):
+    for option in fields(RunConfig):
+        if command in option.metadata["read_by"]:
+            parser.add_argument("--" + option.name.replace("_", "-"), type=option.type,
+                                default=None, dest=option.name, help=option.metadata["help"])
     parser.add_argument("--out", default=None,
                         help="write the report to this file instead of stdout")
 
@@ -385,17 +390,17 @@ def build_parser():
     dec.add_argument("--state", required=True,
                      help="builtin name (bell, schmidt:K1, werner:P, cc5050, "
                           "maxmixed:AxB) or JSON file path")
-    _add_config_flags(dec)
+    _add_config_flags(dec, "decompose")
     dec.set_defaults(handler=_cmd_decompose)
 
     dmx = sub.add_parser("dmax", help="maximal shift over all cyclic operations")
     dmx.add_argument("--state", required=True, help="builtin name or JSON file path")
-    _add_config_flags(dmx)
+    _add_config_flags(dmx, "dmax")
     dmx.set_defaults(handler=_cmd_dmax)
 
     det = sub.add_parser("detect", help="classify a state from shift and PPT data")
     det.add_argument("--state", required=True, help="builtin name or JSON file path")
-    _add_config_flags(det)
+    _add_config_flags(det, "detect")
     det.set_defaults(handler=_cmd_detect)
 
     scn = sub.add_parser("scan", help="sweep a state family")
@@ -403,7 +408,7 @@ def build_parser():
     scn.add_argument("--count", type=int, default=100,
                      help="number of states in the sweep")
     scn.add_argument("--format", choices=("csv", "json"), default="csv")
-    _add_config_flags(scn)
+    _add_config_flags(scn, "scan")
     scn.set_defaults(handler=_cmd_scan)
 
     ch = sub.add_parser("chsh", help="two-stage CHSH shift reconstruction")
@@ -412,7 +417,7 @@ def build_parser():
                     help="rotation angle of the phase operation")
     ch.add_argument("--axis", default="z",
                     help="rotation axis: x, y, z, auto, or 'ux,uy,uz'")
-    _add_config_flags(ch)
+    _add_config_flags(ch, "chsh")
     ch.set_defaults(handler=_cmd_chsh)
 
     return parser

@@ -25,14 +25,7 @@ from .errors import (
     NotCyclicError,
     OperatorError,
 )
-from .operators import (
-    SIGMA_1,
-    SIGMA_2,
-    SIGMA_3,
-    gell_mann_basis,
-    is_unitary,
-    partial_trace,
-)
+from .operators import _pauli, gell_mann_basis, is_unitary, partial_trace
 
 EPS_DEGENERATE = 1e-9
 TOL_CYCLIC = 1e-9
@@ -74,7 +67,6 @@ class CyclicUnitary:
     matrix: np.ndarray
     structure: CommutantStructure
     block_unitaries: tuple
-    reference_state_id: str
 
     @property
     def dim(self):
@@ -179,7 +171,6 @@ def make_cyclic(state, block_unitaries, *, structure=None, tol_unitary=1e-10,
         matrix=v @ b @ v.conj().T,
         structure=structure,
         block_unitaries=tuple(mats),
-        reference_state_id=state.state_id,
     )
 
 
@@ -198,16 +189,12 @@ def cyclic_from_matrix(state, u, *, tol_unitary=1e-10, tol_cyclic=TOL_CYCLIC,
         raise DimensionError(f"unitary shape {u.shape} does not match dim {nb}")
     structure = commutant_basis(state, eps_deg)
     checks = _RowChecks()
-    in_eig = _check_cyclic(u[None], state.rho_b, structure.basis,
-                           _same_block(_level_splits(structure.eigenvalues, eps_deg)),
-                           tol_unitary, tol_cyclic, checks)
+    _, in_eig = _check_cyclic(u[None], state.rho_b, structure.basis,
+                              _same_block(_level_splits(structure.eigenvalues, eps_deg)),
+                              tol_unitary, tol_cyclic, checks)
     checks.raise_first()
-    return CyclicUnitary(
-        matrix=u,
-        structure=structure,
-        block_unitaries=_blocks(in_eig[0], structure),
-        reference_state_id=state.state_id,
-    )
+    return CyclicUnitary(matrix=u, structure=structure,
+                         block_unitaries=_blocks(in_eig[0], structure))
 
 
 def phase_cyclic(state, phi, axis=None, **kwargs):
@@ -234,8 +221,8 @@ def phase_cyclic(state, phi, axis=None, **kwargs):
         if u_vec.shape != (3,) or np.linalg.norm(u_vec) == 0.0:
             raise ValueError("axis must be a nonzero 3-vector")
         u_vec = u_vec / np.linalg.norm(u_vec)
-    h = u_vec[0] * SIGMA_1 + u_vec[1] * SIGMA_2 + u_vec[2] * SIGMA_3
-    u = math.cos(phi / 2.0) * np.eye(2, dtype=complex) + 1j * math.sin(phi / 2.0) * h
+    u = (math.cos(phi / 2.0) * np.eye(2, dtype=complex)
+         + 1j * math.sin(phi / 2.0) * _pauli(u_vec))
     return cyclic_from_matrix(state, u, **kwargs)
 
 
@@ -300,24 +287,25 @@ def _same_block(splits):
 
 
 def _check_cyclic(u, rho_b, basis, same_block, tol_unitary, tol_cyclic, checks):
-    """Check each U of a stack as a cyclic unitary; return it in the eigenbasis.
+    """Check each U of a stack as a cyclic unitary.
 
     U must be unitary within ``tol_unitary``, commute with rho_B within
     ``tol_cyclic``, and be block diagonal in the eigenbasis ``basis`` of
     rho_B, whose blocks ``same_block`` marks: a matrix that passes the
     commutator test but has entries above 1e-10 between nearly
-    degenerate unmerged eigenspaces fails.
+    degenerate unmerged eigenspaces fails.  Returns the largest entry of
+    each commutator [rho_B, U] and each U in the eigenbasis.
     """
     defect = np.abs(u @ _adjoint(u) - np.eye(u.shape[-1])).max(axis=(-2, -1))
     checks.fail(~(defect <= tol_unitary), OperatorError,
                 lambda k: "matrix is not unitary within tolerance")
-    _check_commutes(rho_b, u, tol_cyclic, checks)
+    comm = _check_commutes(rho_b, u, tol_cyclic, checks)
     in_eig = _adjoint(basis) @ u @ basis
     leak = np.abs(np.where(same_block, 0.0, in_eig)).max(axis=(-2, -1))
     checks.fail(leak > 1e-10, NotCyclicError, lambda k: (
         "matrix couples nearly degenerate eigenspaces of rho_B "
         f"(off-block leakage {leak[k]:.3e})"))
-    return in_eig
+    return comm, in_eig
 
 
 def _blocks(in_eigenbasis, structure):
@@ -367,13 +355,6 @@ def _direct_radicands(rhos, u, dims):
     return 0.5 * (diff.conj() @ diff.swapaxes(-1, -2))[..., 0, 0].real
 
 
-def _direct_shifts(rhos, dims, rho_b, u, tol_cyclic, checks):
-    # shift_direct for each row: the commutator with rho_B, then the
-    # radicand's floor and ceiling.  Returns the commutators and shifts.
-    comm = _check_commutes(rho_b, u, tol_cyclic, checks)
-    return comm, _shifts_from_radicands(_direct_radicands(rhos, u, dims), checks)
-
-
 def shift_direct(state, u, *, tol_cyclic=TOL_CYCLIC):
     """Shift of the state under a cyclic unitary, from the trace form.
 
@@ -384,12 +365,12 @@ def shift_direct(state, u, *, tol_cyclic=TOL_CYCLIC):
 
     Raises NotCyclicError when the unitary does not commute with this
     state's rho_B within ``tol_cyclic`` (the check is against the state
-    passed here, not the unitary's reference state).
+    passed here, whichever state the unitary was built for).
     """
-    m = _unitary_of(u, state.dim_b)
+    m = _unitary_of(u, state.dim_b)[None]
     checks = _RowChecks()
-    _, d = _direct_shifts(state.rho[None], state.dims, state.rho_b[None], m[None],
-                          tol_cyclic, checks)
+    _check_commutes(state.rho_b, m, tol_cyclic, checks)
+    d = _shifts_from_radicands(_direct_radicands(state.rho[None], m, state.dims), checks)
     checks.raise_first()
     return float(d[0])
 
@@ -505,9 +486,12 @@ def _verify(states, unitary, radicands, formula, tol_cyclic, checks):
 
     ``radicands`` are the squared shifts a d_max method found through the
     ``formula`` route ("direct" or "correlation").  Each row passes, in
-    order: their floor and ceiling; ``shift_direct``'s checks; those of
-    ``shift_correlation``; the cross-check of the two routes; and the
-    anchor check of the method's shift against its own route.  Residuals
+    order: the checks of ``cyclic_from_matrix``; the radicands' floor and
+    ceiling; ``shift_direct``'s checks, whose commutator test is the one
+    just made; those of ``shift_correlation``; the cross-check of the two
+    routes; and the anchor check of the method's shift against its own
+    route.  Returns the shifts, the residuals and each unitary in the
+    eigenbasis of rho_B.  Residuals
     compare squared shifts: the square root amplifies float noise without
     bound as d approaches zero, while the radicands agree to absolute
     precision everywhere.
@@ -517,9 +501,10 @@ def _verify(states, unitary, radicands, formula, tol_cyclic, checks):
     unitary fails the cross-check or the anchor check, that is a bad
     option, not a bug: MergedLevelsError instead of ConsistencyError.
     """
+    comm, in_eig = _check_cyclic(unitary, states.rho_b, states.basis,
+                                 _same_block(states.splits), 1e-10, tol_cyclic, checks)
     d_val = _shifts_from_radicands(radicands, checks)
-    comm, d_dir = _direct_shifts(states.rho, states.dims, states.rho_b, unitary,
-                                 tol_cyclic, checks)
+    d_dir = _shifts_from_radicands(_direct_radicands(states.rho, unitary, states.dims), checks)
     d_cor = _correlation_shifts(states.beta, states.r_b, unitary,
                                 gell_mann_basis(states.dims[1]), states.dims, tol_cyclic, checks)
     residual = np.abs(d_dir * d_dir - d_cor * d_cor)
@@ -546,15 +531,17 @@ def _verify(states, unitary, radicands, formula, tol_cyclic, checks):
     disagree(np.abs(d_val * d_val - anchor * anchor) > 1e-10, lambda k: (
         f"optimized shift {d_val[k]:.12g} does not match its own formula "
         f"re-evaluation {anchor[k]:.12g}"))
-    return d_val, residual
+    return d_val, residual, in_eig
 
 
-def _finalize(states, unit, radicand, formula, method, tol_cyclic, **fields):
-    """ShiftResult of the unitary a d_max method found: the verifier's N=1 call."""
+def _finalize(states, structure, u, radicand, formula, method, tol_cyclic, **fields):
+    """ShiftResult of the B-side unitary a d_max method found: the verifier's N=1 call."""
     checks = _RowChecks()
-    d, residual = _verify(states, unit.matrix[None], np.array([radicand], dtype=float),
-                          formula, tol_cyclic, checks)
+    d, residual, in_eig = _verify(states, u[None], np.array([radicand], dtype=float),
+                                  formula, tol_cyclic, checks)
     checks.raise_first()
+    unit = CyclicUnitary(matrix=u, structure=structure,
+                         block_unitaries=_blocks(in_eig[0], structure))
     return ShiftResult(d=float(d[0]), formula=formula, method=method, unitary=unit,
                        cross_check_residual=float(residual[0]), **fields)
 
@@ -572,7 +559,7 @@ class _QubitBForms:
     residual: np.ndarray
 
 
-def _half_turns(states, tol_cyclic, checks):
+def _half_turns(states):
     # Both closed forms are the half turn U = exp(i pi/2 w.sigma) = i w.sigma.
     # Its conjugation rotates beta into beta (2 w w^T - I), so
     # d^2 = 2 pref (Tr M - w^T M w) with M = beta^T beta, and only the axis
@@ -581,8 +568,7 @@ def _half_turns(states, tol_cyclic, checks):
     # (Tr M - u^T M u) peaks at phi = pi.  With merged levels every axis
     # is allowed, and the best one is the least eigenvector of M, where
     # Tr M - w^T M w is the sum of the two larger eigenvalues.
-    # Returns the unitaries, them in the eigenbasis of rho_B, the
-    # radicands, phi and the axes.
+    # Returns the unitaries, the radicands, phi and the axes.
     na, nb = states.dims
     r_b, beta, basis = states.r_b, states.beta, states.basis
     merged = ~states.splits[:, 0]
@@ -608,16 +594,11 @@ def _half_turns(states, tol_cyclic, checks):
     diag[:, 1, 1] = np.where(moving, 1j, 1.0)
     u = basis @ diag @ _adjoint(basis)
     if merged.any():
-        w_vec = axis[merged & moving]
-        u[merged & moving] = 1j * (w_vec[:, 0, None, None] * SIGMA_1
-                                   + w_vec[:, 1, None, None] * SIGMA_2
-                                   + w_vec[:, 2, None, None] * SIGMA_3)
+        u[merged & moving] = 1j * _pauli(axis[merged & moving])
         u[merged & ~moving] = _IDENTITY_2
-    in_eig = _check_cyclic(u, states.rho_b, basis, _same_block(states.splits), 1e-10,
-                           tol_cyclic, checks)
     pref = (na - 1) * (nb - 1) / (na * nb)
     radicands = np.where(moving, 2.0 * pref * spread, 0.0)
-    return u, in_eig, radicands, np.where(moving, math.pi, 0.0), axis
+    return u, radicands, np.where(moving, math.pi, 0.0), axis
 
 
 def _qubit_b_closed_forms(rhos, dims, *, eps_deg=EPS_DEGENERATE, tol_cyclic=TOL_CYCLIC,
@@ -628,30 +609,26 @@ def _qubit_b_closed_forms(rhos, dims, *, eps_deg=EPS_DEGENERATE, tol_cyclic=TOL_
     (gap at least ``eps_deg * max(1, lambda_max)``, as in
     ``commutant_basis``) takes the phase form, the others the rotation
     form; both are a half turn, about different axes.  Every row then
-    passes the checks of ``cyclic_from_matrix`` and of ``_verify``.  The
-    first failure of the lowest failing row is raised, named
-    ``row first_index + i`` when ``first_index`` is given.
+    passes ``_verify``, which starts with the checks of
+    ``cyclic_from_matrix``.  The first failure of the lowest failing row
+    is raised, named ``row first_index + i`` when ``first_index`` is
+    given.
     """
     checks = _RowChecks(first_index)
     states = _states(rhos, dims, eps_deg)
-    unitary, _, radicands, phi, axis = _half_turns(states, tol_cyclic, checks)
-    d, residual = _verify(states, unitary, radicands, "correlation", tol_cyclic, checks)
+    unitary, radicands, phi, axis = _half_turns(states)
+    d, residual, _ = _verify(states, unitary, radicands, "correlation", tol_cyclic, checks)
     checks.raise_first()
     return _QubitBForms(d=d, beta=states.beta, merged=~states.splits[:, 0], unitary=unitary,
                         phi=phi, axis=axis, residual=residual)
 
 
-def _closed_form_result(state, states, structure, tol_cyclic):
+def _closed_form_result(states, structure, tol_cyclic):
     """ShiftResult of the qubit-B closed forms: the N=1 case of the batch."""
-    checks = _RowChecks()
-    unitary, in_eig, radicands, phi, axis = _half_turns(states, tol_cyclic, checks)
-    checks.raise_first()
-    unit = CyclicUnitary(matrix=unitary[0], structure=structure,
-                         block_unitaries=_blocks(in_eig[0], structure),
-                         reference_state_id=state.state_id)
+    unitary, radicands, phi, axis = _half_turns(states)
     method = "phase-closed-form" if states.splits[0, 0] else "rotation-closed-form"
-    return _finalize(states, unit, radicands[0], "correlation", method, tol_cyclic,
-                     restarts=0, certified=True,
+    return _finalize(states, structure, unitary[0], radicands[0], "correlation", method,
+                     tol_cyclic, restarts=0, certified=True,
                      params={"phi": float(phi[0]), "axis": [float(x) for x in axis[0]]})
 
 
@@ -810,7 +787,7 @@ def _dmax_generic(state, states, structure, restarts, rng, max_iters, tol_cyclic
     d_runs = np.sqrt(np.maximum(radicands, 0.0))
     params = {"phases": theta[best].tolist()} if phase_family else {}
     return _finalize(
-        states, make_cyclic(state, _blocks(w[best], structure), structure=structure),
+        states, structure, structure.basis @ w[best] @ _adjoint(structure.basis),
         float(radicands[best]), "direct", "multistart", tol_cyclic, restarts=restarts,
         certified=bool(converged[best]), params=params, nfev=nfev,
         restart_spread=float(d_runs.max() - d_runs.min()))
@@ -856,9 +833,10 @@ def _qutrit_phases(weights):
 def _dmax_qutrit_phases(state, states, structure, tol_cyclic):
     rho_rot = _conj_b(state.rho, structure.basis.conj().T, state.dims)
     radicand, phases = _qutrit_phases(_quadratic_form(rho_rot, state.dims, (1, 1, 1)))
-    unit = make_cyclic(state, [np.array([[np.exp(1j * t)]]) for t in phases], structure=structure)
-    return _finalize(states, unit, radicand, "direct", "qutrit-phase-closed-form", tol_cyclic,
-                     restarts=0, certified=True, params={"phases": phases})
+    v = structure.basis
+    u = v @ np.diag(np.exp(1j * np.array(phases))) @ _adjoint(v)
+    return _finalize(states, structure, u, radicand, "direct", "qutrit-phase-closed-form",
+                     tol_cyclic, restarts=0, certified=True, params={"phases": phases})
 
 
 def d_max(state, *, restarts=16, method="auto", rng=None, eps_deg=EPS_DEGENERATE,
@@ -912,7 +890,7 @@ def d_max(state, *, restarts=16, method="auto", rng=None, eps_deg=EPS_DEGENERATE
     states = _states(state.rho[None], state.dims, eps_deg)
     structure = _structure(states.levels[0].copy(), states.basis[0].copy(), states.splits[0])
     if method == "auto" and state.dim_b == 2:
-        return _closed_form_result(state, states, structure, tol_cyclic)
+        return _closed_form_result(states, structure, tol_cyclic)
     if method == "auto" and structure.block_sizes == (1, 1, 1):
         return _dmax_qutrit_phases(state, states, structure, tol_cyclic)
     return _dmax_generic(state, states, structure, restarts, rng, max_iters, tol_cyclic)

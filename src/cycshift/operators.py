@@ -20,6 +20,13 @@ SIGMA_2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_3 = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
+def _pauli(v):
+    # v . sigma for a real 3-vector, or for each of a stack of them
+    v = np.asarray(v, dtype=float)
+    x, y, z = v if v.ndim == 1 else np.moveaxis(v, -1, 0)[..., None, None]
+    return x * SIGMA_1 + y * SIGMA_2 + z * SIGMA_3
+
+
 def _frozen(a):
     out = np.array(a, dtype=complex)
     out.setflags(write=False)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import cycshift
 import cycshift.cli
 import cycshift.cyclic
 from cycshift.bloch import BipartiteState, decompose
-from cycshift.cli import main
+from cycshift.cli import RunConfig, main
 from cycshift.cyclic import d_max
 from cycshift.errors import NotAStateError
 from cycshift.states import (
@@ -425,3 +426,80 @@ def test_scan_loads_the_process_pool_only_for_several_workers(tmp_path):
     ])
     assert _probe(probe) == ["False", "True"]
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+# Which subcommands read each option, written out here rather than taken
+# from RunConfig.  chsh accepts --restarts and ignores it.
+READ_BY = {
+    "seed": {"dmax", "detect", "scan"},
+    "restarts": {"dmax", "detect", "chsh"},
+    "workers": {"scan"},
+    "tol_herm": {"decompose", "dmax", "detect", "chsh"},
+    "tol_psd": {"decompose", "dmax", "detect", "chsh"},
+    "tol_cyclic": {"dmax", "detect", "scan", "chsh"},
+    "eps_deg": {"dmax", "detect", "scan", "chsh"},
+    "tol_bound": {"detect", "scan"},
+}
+ACCEPTED_BUT_IGNORED = {("chsh", "restarts")}
+SUBCOMMANDS = ("decompose", "dmax", "detect", "scan", "chsh")
+
+
+def _subcommand_argv(command, state):
+    if command == "scan":
+        return ["scan", "--family", "random", "--count", "3"]
+    return [command, "--state", state]
+
+
+def test_the_option_table_covers_every_option():
+    assert set(READ_BY) == {option.name for option in fields(RunConfig)}
+    accepted = sum(len(commands) for commands in READ_BY.values())
+    assert (accepted, len(SUBCOMMANDS) * len(READ_BY) - accepted) == (25, 15)
+
+
+@pytest.mark.parametrize("option", sorted(READ_BY))
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_subcommands_accept_only_the_options_they_read(capsys, command, option):
+    default = getattr(RunConfig(), option)
+    argv = _subcommand_argv(command, "bell") + ["--" + option.replace("_", "-"), str(default)]
+    parser = cycshift.cli.build_parser()
+    if command in READ_BY[option]:
+        assert getattr(parser.parse_args(argv), option) == default
+        return
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --" + option.replace("_", "-") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_subcommands_read_the_options_they_accept(tmp_path, capsys, monkeypatch, command):
+    # every option a subcommand accepts reaches its computation, bar the
+    # one documented no-op; a JSON state file makes the loaders read the
+    # validation tolerances
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(state_to_json(schmidt_state(0.6, 0.8))))
+    read = set()
+
+    class Recording:
+        def __init__(self, config):
+            self._config = config
+
+        def __getattr__(self, name):
+            read.add(name)
+            return getattr(self._config, name)
+
+    resolve = cycshift.cli._resolve_config
+    monkeypatch.setattr(cycshift.cli, "_resolve_config", lambda args: Recording(resolve(args)))
+    code, _, err = run_cli(capsys, *_subcommand_argv(command, str(path)))
+    assert code == 0, err
+    accepted = {option for option, commands in READ_BY.items() if command in commands}
+    ignored = {option for cmd, option in ACCEPTED_BUT_IGNORED if cmd == command}
+    assert read == accepted - ignored
+
+
+def test_environment_still_sets_options_a_subcommand_rejects(capsys, monkeypatch):
+    # CYCSHIFT_* variables stay process-wide defaults, validated on every call
+    monkeypatch.setenv("CYCSHIFT_WORKERS", "0")
+    code, _, err = run_cli(capsys, "decompose", "--state", "bell")
+    assert code == 2
+    assert "workers must be >= 1" in err

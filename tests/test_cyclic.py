@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import cycshift.cyclic
 from cycshift.bloch import BipartiteState, decompose
 from cycshift.cyclic import (
     _block_layout,
@@ -677,3 +678,44 @@ def test_shift_correlation_reads_the_form_in_its_own_bases():
     # beta_f in the permuted basis is the canonical beta_f permuted
     canonical = beta_final(decompose(state), unit)
     assert np.abs(beta_final(form, unit) - canonical[np.ix_((2, 0, 1), (2, 0, 1))]).max() < 1e-12
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    real = getattr(cycshift.cyclic, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cycshift.cyclic, name, counting)
+    return calls
+
+
+def test_qubit_b_d_max_computes_each_commutator_once(monkeypatch):
+    # one against rho_B (cyclic_from_matrix's check, which shift_direct's
+    # reuses) and one against rho_B rebuilt from r_B (shift_correlation's)
+    calls = _count_calls(monkeypatch, "_check_commutes")
+    d_max(schmidt_state(0.6, 0.8))
+    assert len(calls) == 2
+    calls.clear()
+    _qubit_b_closed_forms(np.stack([schmidt_state(0.6, 0.8).rho, werner_state(0.5).rho]), (2, 2))
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("state, method", [
+    (schmidt_state(0.6, 0.8), "phase-closed-form"),
+    (bell_state(), "rotation-closed-form"),
+    (random_state_at(3, 0, (2, 3)), "qutrit-phase-closed-form"),
+    (maximally_mixed((2, 3)), "multistart"),
+    (random_state_at(3, 0, (2, 4)), "multistart"),
+])
+def test_every_d_max_unitary_gets_the_checks_of_cyclic_from_matrix_once(
+        monkeypatch, state, method):
+    calls = _count_calls(monkeypatch, "_check_cyclic")
+    result = d_max(state, restarts=2, rng=0)
+    assert result.method == method
+    assert len(calls) == 1
+    rebuilt = cyclic_from_matrix(state, result.unitary.matrix)
+    for got, want in zip(result.unitary.block_unitaries, rebuilt.block_unitaries):
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)

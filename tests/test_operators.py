@@ -7,6 +7,7 @@ from cycshift.operators import (
     SIGMA_1,
     SIGMA_2,
     SIGMA_3,
+    _pauli,
     commutator,
     expi_hermitian,
     gell_mann_basis,
@@ -148,3 +149,15 @@ def test_hermitian_and_unitary_predicates():
 def test_commutator():
     assert np.max(np.abs(commutator(SIGMA_1, SIGMA_2) - 2j * SIGMA_3)) < 1e-14
     assert np.max(np.abs(commutator(SIGMA_3, SIGMA_3))) == 0.0
+
+
+def test_pauli_of_a_stack_is_the_pauli_of_each_vector_bit_for_bit():
+    axes = np.random.default_rng(4).standard_normal((2, 3, 3))
+    axes[0, 0] = (0.6, -0.0, 0.8)
+    stack = _pauli(axes)
+    assert stack.shape == (2, 3, 2, 2)
+    for i in range(2):
+        for j in range(3):
+            x, y, z = axes[i, j]
+            assert stack[i, j].tobytes() == _pauli(axes[i, j]).tobytes()
+            assert stack[i, j].tobytes() == (x * SIGMA_1 + y * SIGMA_2 + z * SIGMA_3).tobytes()
