@@ -5,14 +5,15 @@ linear in the correlation matrix, F = sum_ij beta_ij T_ij, and is
 preserved when a cyclic unitary on B is compensated by conjugating
 Bob's observables.  ``run_protocol`` turns that invariance into a
 reconstruction: optimal settings are located before and after the
-operation using only F evaluations, the rotation linking the two Bob
-frames is read off, and the induced shift is estimated from it.
+operation using only joint measurements, the rotation linking the two
+Bob frames is read off, and the induced shift is estimated from it.
 
 With one party's axes fixed, F = a1 . c1 + a2 . c2 is linear in each of
 the other party's axes, so its maximum over unit axes is reached at
-a_k = c_k / |c_k| (the fact behind the Horodecki CHSH bound).  Reading
-the two coefficient vectors off F takes 12 evaluations per stage, and
-no search is needed.
+a_k = c_k / |c_k| (the fact behind the Horodecki CHSH bound).  Each
+stage measures one 3x2 table of correlators, every probe axis e_i
+against the fixed party's two axes; c1 and c2 are the sum and the
+difference of its columns, and no search is needed.
 """
 
 import math
@@ -31,11 +32,10 @@ from .cyclic import (
     shift_direct,
 )
 from .errors import ConsistencyError, DimensionError, RecoveryError
-from .operators import _pauli, gell_mann_basis, tensor
+from .operators import _pauli, gell_mann_basis
 
-X_AXIS = np.array([1.0, 0.0, 0.0])
-Y_AXIS = np.array([0.0, 1.0, 0.0])
-Z_AXIS = np.array([0.0, 0.0, 1.0])
+PROBES = np.eye(3)[:, None]  # e_x, e_y, e_z, each against both axes of the other party
+BOB_INITIAL = np.eye(3)[:2]  # sigma_1 and sigma_2
 
 FLAT_TOL = 1e-8
 MATCH_TOL = 1e-6
@@ -75,30 +75,37 @@ def measurement_matrix(settings):
     return np.outer(plus, settings.bob_1) + np.outer(minus, settings.bob_2)
 
 
-def correlator(state, alice_axis, bob_axis):
-    """E = Tr(rho (a.sigma) (x) (b.sigma)) for a two-qubit state."""
+def _correlators(state, alice_axes, bob_axes):
+    """E = Tr(rho (a.sigma) (x) (b.sigma)) over stacks of axes that broadcast.
+
+    One contraction over rho reshaped to (2, 2, 2, 2), with the broadcast
+    shape of the two stacks less their last axis.
+    """
     if state.dims != (2, 2):
         raise DimensionError(f"correlator needs a two-qubit state, got dims {state.dims}")
-    op = tensor(_pauli(alice_axis), _pauli(bob_axis))
-    return float(np.trace(state.rho @ op).real)
+    r = state.rho.reshape(2, 2, 2, 2)  # r[i, j, k, l] = <ij| rho |kl>
+    return np.einsum("ijkl,...ki,...lj->...", r, _pauli(alice_axes), _pauli(bob_axes)).real
+
+
+def _chsh(state, alice, bob):
+    """F from the 2x2 table E(alice_k, bob_l) of two axes on each side."""
+    e = _correlators(state, np.asarray(alice)[:, None], np.asarray(bob)[None])
+    return float(e[0, 0] + e[0, 1] + e[1, 0] - e[1, 1])
+
+
+def correlator(state, alice_axis, bob_axis):
+    """E = Tr(rho (a.sigma) (x) (b.sigma)) for a two-qubit state."""
+    return float(_correlators(state, alice_axis, bob_axis))
 
 
 def chsh_expectation(state, settings):
     """CHSH combination of the four correlators at the given settings."""
-    return (correlator(state, settings.alice_1, settings.bob_1)
-            + correlator(state, settings.alice_1, settings.bob_2)
-            + correlator(state, settings.alice_2, settings.bob_1)
-            - correlator(state, settings.alice_2, settings.bob_2))
+    return _chsh(state, (settings.alice_1, settings.alice_2), (settings.bob_1, settings.bob_2))
 
 
 def chsh_from_bloch(beta, t_matrix):
     """F evaluated as the contraction sum_ij beta_ij T_ij."""
     return float(np.sum(np.asarray(beta) * np.asarray(t_matrix)))
-
-
-def _cross_matrix(u):
-    """Matrix of v -> u x v."""
-    return np.array([[0.0, -u[2], u[1]], [u[2], 0.0, -u[0]], [-u[1], u[0], 0.0]])
 
 
 def pauli_conjugate(axis, phi):
@@ -113,10 +120,8 @@ def pauli_conjugate(axis, phi):
     nrm = np.linalg.norm(u)
     if nrm == 0.0:
         raise ValueError("axis must be nonzero")
-    u = u / nrm
-    return (math.cos(phi) * np.eye(3)
-            + math.sin(phi) * _cross_matrix(u)
-            + (1.0 - math.cos(phi)) * np.outer(u, u))
+    return rotation_from_unitary(math.cos(phi / 2.0) * np.eye(2)
+                                 + 1j * math.sin(phi / 2.0) * _pauli(u / nrm))
 
 
 def rotation_from_unitary(u):
@@ -176,36 +181,20 @@ class ChshTranscript:
         }
 
 
-def _linear_coefficients(value_fn, slot):
-    """Coefficient vector of the linearly entering axis in slot 0 or 1.
+def _optimal_pair(table, flat_message):
+    """Exact maximizing axis pair of F(a1, a2) = a1 . c1 + a2 . c2.
 
-    F is linear in each axis separately, so finite differences of F at
-    opposite probe axes read the coefficient vector off exactly.
+    ``table[i, l]`` is the correlator of probe axis e_i with the other
+    party's fixed axis l, so c1 and c2 are the sum and the difference of
+    its columns.  F is largest at a_k = c_k / |c_k|, returned as the rows
+    of a 2x3 array.  A coefficient vector at float noise leaves its axis
+    unconstrained, which raises RecoveryError with ``flat_message``.
     """
-    coeff = np.empty(3)
-    probes = (X_AXIS, Y_AXIS, Z_AXIS)
-    for i, probe in enumerate(probes):
-        if slot == 0:
-            coeff[i] = 0.5 * (value_fn(probe, Z_AXIS) - value_fn(-probe, Z_AXIS))
-        else:
-            coeff[i] = 0.5 * (value_fn(Z_AXIS, probe) - value_fn(Z_AXIS, -probe))
-    return coeff
-
-
-def _optimal_pair(value_fn, flat_message):
-    """Exact maximizing axis pair of a value linear in each of two unit axes.
-
-    F(a1, a2) = a1 . c1 + a2 . c2 is largest at a_k = c_k / |c_k|.  A
-    coefficient vector at float noise leaves its axis unconstrained,
-    which raises RecoveryError with ``flat_message``.
-    """
-    c1 = _linear_coefficients(value_fn, 0)
-    c2 = _linear_coefficients(value_fn, 1)
-    n1 = np.linalg.norm(c1)
-    n2 = np.linalg.norm(c2)
-    if n1 < FLAT_TOL or n2 < FLAT_TOL:
+    c = np.array([table[:, 0] + table[:, 1], table[:, 0] - table[:, 1]])
+    norms = np.linalg.norm(c, axis=1)
+    if norms.min() < FLAT_TOL:
         raise RecoveryError(flat_message)
-    return c1 / n1, c2 / n2
+    return c / norms[:, None]
 
 
 def run_protocol(state, u, *, restarts=8, rng=None, tol_match=MATCH_TOL,
@@ -215,7 +204,9 @@ def run_protocol(state, u, *, restarts=8, rng=None, tol_match=MATCH_TOL,
     Stage 1 fixes Bob at sigma_1, sigma_2 and finds Alice's optimal
     axes on the initial state; stage 2 fixes Alice there and finds
     Bob's optimal axes on the final state.  Each optimum is the exact
-    closed form read off 12 F evaluations.  The two Bob frames are
+    closed form read off six correlators, the 3x2 table of the probe
+    axes against the fixed party's two axes, and each F value is the
+    CHSH combination of one 2x2 table.  The two Bob frames are
     linked by the conjugation rotation of U, which is read off from the
     stage-2 optimum and turned into an estimate of the induced shift.
 
@@ -236,29 +227,20 @@ def run_protocol(state, u, *, restarts=8, rng=None, tol_match=MATCH_TOL,
     unit = (u if isinstance(u, CyclicUnitary)
             else cyclic_from_matrix(state, u, tol_cyclic=tol_cyclic))
 
-    def f_initial(alice_1, alice_2):
-        return chsh_expectation(state, MeasurementSettings(
-            alice_1=alice_1, alice_2=alice_2, bob_1=X_AXIS, bob_2=Y_AXIS))
-
-    alice_1, alice_2 = _optimal_pair(
-        f_initial,
+    alice = _optimal_pair(
+        _correlators(state, PROBES, BOB_INITIAL),
         "stage-1 optimum is not unique: the correlation matrix leaves an "
         "Alice axis unconstrained (rank below 2)",
     )
-    f_max_initial = f_initial(alice_1, alice_2)
+    f_max_initial = _chsh(state, alice, BOB_INITIAL)
 
     state_f = apply_cyclic(state, unit)
-
-    def f_final(bob_1, bob_2):
-        return chsh_expectation(state_f, MeasurementSettings(
-            alice_1=alice_1, alice_2=alice_2, bob_1=bob_1, bob_2=bob_2))
-
-    bob_1, bob_2 = _optimal_pair(
-        f_final,
+    bob_1, bob_2 = bob = _optimal_pair(
+        _correlators(state_f, alice, PROBES),
         "stage-2 optimum is not unique: a Bob axis is unconstrained on the "
         "final state (correlation rank below 2)",
     )
-    f_max_final = f_final(bob_1, bob_2)
+    f_max_final = _chsh(state_f, alice, bob)
 
     if abs(f_max_final - f_max_initial) > tol_match:
         raise RecoveryError(
@@ -292,7 +274,7 @@ def run_protocol(state, u, *, restarts=8, rng=None, tol_match=MATCH_TOL,
             f"shift {reference:.9g}"
         )
     return ChshTranscript(
-        stage1=StageResult(axis_1=alice_1, axis_2=alice_2, f_value=f_max_initial),
+        stage1=StageResult(axis_1=alice[0], axis_2=alice[1], f_value=f_max_initial),
         stage2=StageResult(axis_1=bob_1, axis_2=bob_2, f_value=f_max_final),
         recovered_rotation=rotation,
         recovered_beta_f=beta_f_rec,

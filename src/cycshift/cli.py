@@ -378,7 +378,8 @@ def build_parser():
     """The argument parser, built once per process.
 
     It holds no environment state: ``_resolve_config`` reads the
-    ``CYCSHIFT_*`` variables on every call.
+    ``CYCSHIFT_*`` variables on every call.  ``subcommands`` maps each
+    subcommand's name to its parser, which reports the options it rejects.
     """
     parser = argparse.ArgumentParser(
         prog="cycshift",
@@ -420,12 +421,15 @@ def build_parser():
     _add_config_flags(ch, "chsh")
     ch.set_defaults(handler=_cmd_chsh)
 
+    parser.subcommands = sub.choices
     return parser
 
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
+    if extra:
+        parser.subcommands[args.command].error("unrecognized arguments: " + " ".join(extra))
     try:
         config = _resolve_config(args)
         text = args.handler(args, config)

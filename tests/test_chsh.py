@@ -15,7 +15,13 @@ from cycshift.chsh import (
     run_protocol,
     transported_settings,
 )
-from cycshift.cyclic import commutant_basis, make_cyclic, phase_cyclic, shift_direct
+from cycshift.cyclic import (
+    apply_cyclic,
+    commutant_basis,
+    make_cyclic,
+    phase_cyclic,
+    shift_direct,
+)
 from cycshift.errors import ConsistencyError, DimensionError, RecoveryError
 from cycshift.operators import expi_hermitian, gell_mann_basis, tensor
 from cycshift.states import (
@@ -48,6 +54,20 @@ def random_cyclic(state, rng):
     structure = commutant_basis(state)
     blocks = [haar_unitary(size, rng) for size in structure.block_sizes]
     return make_cyclic(state, blocks, structure=structure)
+
+
+def aligned_state_under_local_unitary(rng):
+    # A Schmidt or Werner state under a random local unitary on A, which
+    # rotates beta without breaking the frame identification, and a
+    # phase operation about z.
+    if rng.uniform() < 0.5:
+        k1 = rng.uniform(0.2, 0.95)
+        base = schmidt_state(k1, math.sqrt(1.0 - k1 * k1))
+    else:
+        base = werner_state(rng.uniform(0.2, 1.0))
+    u_a = np.kron(haar_unitary(2, rng), np.eye(2))
+    state = BipartiteState(u_a @ base.rho @ u_a.conj().T, (2, 2))
+    return state, phase_cyclic(state, rng.uniform(0.3, 3.0), axis="z")
 
 
 def test_settings_require_unit_axes():
@@ -237,20 +257,12 @@ def test_protocol_rejects_wrong_dimensions():
 def test_stage1_axes_match_closed_form_oracle():
     # With Bob at x and y, F = a1 . beta(x + y) + a2 . beta(x - y), so the
     # optimal Alice axes are those two vectors normalized and the maximum
-    # is the sum of their norms.  A random local unitary on A rotates beta
-    # without breaking the frame identification.
+    # is the sum of their norms.
     rng = np.random.default_rng(21)
     x_hat = np.array([1.0, 0.0, 0.0])
     y_hat = np.array([0.0, 1.0, 0.0])
     for _ in range(6):
-        if rng.uniform() < 0.5:
-            k1 = rng.uniform(0.2, 0.95)
-            base = schmidt_state(k1, math.sqrt(1.0 - k1 * k1))
-        else:
-            base = werner_state(rng.uniform(0.2, 1.0))
-        u_a = np.kron(haar_unitary(2, rng), np.eye(2))
-        state = BipartiteState(u_a @ base.rho @ u_a.conj().T, (2, 2))
-        unit = phase_cyclic(state, rng.uniform(0.3, 3.0), axis="z")
+        state, unit = aligned_state_under_local_unitary(rng)
         transcript = run_protocol(state, unit)
         beta = decompose(state).beta
         plus = beta @ (x_hat + y_hat)
@@ -259,6 +271,36 @@ def test_stage1_axes_match_closed_form_oracle():
         assert np.max(np.abs(transcript.stage1.axis_2 - minus / np.linalg.norm(minus))) < 1e-12
         f_max = np.linalg.norm(plus) + np.linalg.norm(minus)
         assert abs(transcript.stage1.f_value - f_max) < 1e-12
+
+
+def test_stage2_axes_match_closed_form_oracle():
+    # With Alice at a1 and a2, F = b1 . beta_f^T (a1 + a2) + b2 . beta_f^T (a1 - a2)
+    # on the final state, so the optimal Bob axes are those two vectors
+    # normalized and the maximum is the sum of their norms.
+    rng = np.random.default_rng(23)
+    for _ in range(6):
+        state, unit = aligned_state_under_local_unitary(rng)
+        transcript = run_protocol(state, unit)
+        beta_f = decompose(apply_cyclic(state, unit)).beta
+        a1, a2 = transcript.stage1.axis_1, transcript.stage1.axis_2
+        plus = beta_f.T @ (a1 + a2)
+        minus = beta_f.T @ (a1 - a2)
+        assert np.max(np.abs(transcript.stage2.axis_1 - plus / np.linalg.norm(plus))) < 1e-12
+        assert np.max(np.abs(transcript.stage2.axis_2 - minus / np.linalg.norm(minus))) < 1e-12
+        f_max = np.linalg.norm(plus) + np.linalg.norm(minus)
+        assert abs(transcript.stage2.f_value - f_max) < 1e-12
+
+
+def test_protocol_builds_no_kronecker_product(monkeypatch):
+    state = schmidt_state(0.6, 0.8)
+    unit = phase_cyclic(state, 1.2)
+
+    def kron(*args, **kwargs):
+        raise AssertionError("run_protocol called np.kron")
+
+    monkeypatch.setattr(np, "kron", kron)
+    transcript = run_protocol(state, unit)
+    assert abs(transcript.estimated_d - 2.0 * 0.48 * math.sin(0.6)) < 1e-12
 
 
 def test_protocol_ignores_restarts_and_rng():

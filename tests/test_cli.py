@@ -471,6 +471,16 @@ def test_subcommands_accept_only_the_options_they_read(capsys, command, option):
     assert "unrecognized arguments: --" + option.replace("_", "-") in capsys.readouterr().err
 
 
+def test_a_rejected_option_is_reported_with_the_subcommand_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["decompose", "--state", "bell", "--seed", "3"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: cycshift decompose")
+    assert "--tol-herm" in err
+    assert "unrecognized arguments: --seed 3" in err
+
+
 @pytest.mark.parametrize("command", SUBCOMMANDS)
 def test_subcommands_read_the_options_they_accept(tmp_path, capsys, monkeypatch, command):
     # every option a subcommand accepts reaches its computation, bar the
