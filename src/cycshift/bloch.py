@@ -52,7 +52,10 @@ class BipartiteState:
                 f"density matrix shape {rho.shape} does not match dims ({da}, {db})"
             )
         herm_defect = np.abs(rho - rho.conj().T).max()
-        if herm_defect > tol_herm:
+        # NaN-safe: a NaN or inf entry makes the defect NaN or inf
+        if not herm_defect <= tol_herm:
+            if not np.isfinite(herm_defect):
+                raise NotAStateError("matrix has non-finite entries")
             raise NotAStateError(
                 f"matrix is not Hermitian (max defect {herm_defect:.3e})"
             )
@@ -295,10 +298,3 @@ def reconstruct(form, *, tol_psd=1e-10):
     rho += ca * cb * corr.reshape(n, n)
     rho /= float(n)
     return BipartiteState(rho, (na, nb), tol_psd=tol_psd)
-
-
-def reduced_bloch(state):
-    """Bloch vectors (r_a, r_b) of the two reduced states."""
-    r_a = bloch_vector(state.rho_a, gell_mann_basis(state.dim_a))
-    r_b = bloch_vector(state.rho_b, gell_mann_basis(state.dim_b))
-    return r_a, r_b

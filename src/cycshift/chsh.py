@@ -16,7 +16,6 @@ against the fixed party's two axes; c1 and c2 are the sum and the
 difference of its columns, and no search is needed.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,12 +26,11 @@ from .cyclic import (
     CyclicUnitary,
     _shift_from_radicand,
     apply_cyclic,
-    conjugation_matrix,
     cyclic_from_matrix,
     shift_direct,
 )
 from .errors import ConsistencyError, DimensionError, RecoveryError
-from .operators import _pauli, gell_mann_basis
+from .operators import _pauli
 
 PROBES = np.eye(3)[:, None]  # e_x, e_y, e_z, each against both axes of the other party
 BOB_INITIAL = np.eye(3)[:2]  # sigma_1 and sigma_2
@@ -106,42 +104,6 @@ def chsh_expectation(state, settings):
 def chsh_from_bloch(beta, t_matrix):
     """F evaluated as the contraction sum_ij beta_ij T_ij."""
     return float(np.sum(np.asarray(beta) * np.asarray(t_matrix)))
-
-
-def pauli_conjugate(axis, phi):
-    """Rotation matrix of Pauli conjugation by exp(i phi/2 axis.sigma).
-
-    Returns R with U sigma_i U^dag = sum_k R[i, k] sigma_k, which is the
-    proper rotation by phi about ``axis``.
-    """
-    u = np.asarray(axis, dtype=float)
-    if u.shape != (3,):
-        raise DimensionError("axis must be a 3-vector")
-    nrm = np.linalg.norm(u)
-    if nrm == 0.0:
-        raise ValueError("axis must be nonzero")
-    return rotation_from_unitary(math.cos(phi / 2.0) * np.eye(2)
-                                 + 1j * math.sin(phi / 2.0) * _pauli(u / nrm))
-
-
-def rotation_from_unitary(u):
-    """Conjugation rotation R[i, k] = Tr(sigma_k U sigma_i U^dag)/2 of a qubit unitary."""
-    return conjugation_matrix(u, gell_mann_basis(2)).T
-
-
-def transported_settings(settings, u):
-    """Settings with Bob's axes carried through the conjugation of U.
-
-    The returned settings satisfy F(rho_f, transported) = F(rho_0,
-    original) for rho_f produced by the cyclic unitary U.
-    """
-    r = rotation_from_unitary(u)
-    return MeasurementSettings(
-        alice_1=settings.alice_1,
-        alice_2=settings.alice_2,
-        bob_1=r.T @ settings.bob_1,
-        bob_2=r.T @ settings.bob_2,
-    )
 
 
 @dataclass(frozen=True, eq=False)

@@ -120,8 +120,8 @@ def _resolve_config(args):
         raise ValueError(f"workers must be >= 1, got {config.workers}")
     for option in fields(RunConfig):
         value = getattr(config, option.name)
-        if option.type is float and value <= 0.0:
-            raise ValueError(f"{option.name} must be positive, got {value}")
+        if option.type is float and not 0.0 < value < math.inf:
+            raise ValueError(f"{option.name} must be positive and finite, got {value}")
     return config
 
 

@@ -765,10 +765,10 @@ def _riemannian_descent(mmat, groups, starts, max_iters):
     return x, converged, nfev
 
 
-def _dmax_generic(state, states, structure, restarts, rng, max_iters, tol_cyclic):
+def _dmax_generic(states, structure, restarts, rng, max_iters, tol_cyclic):
     sizes = structure.block_sizes
-    rho_rot = _conj_b(state.rho, _adjoint(structure.basis), state.dims)
-    mmat = _quadratic_form(rho_rot, state.dims, sizes)
+    rho_rot = _conj_b(states.rho[0], _adjoint(structure.basis), states.dims)
+    mmat = _quadratic_form(rho_rot, states.dims, sizes)
     rows, cols, groups = _block_layout(sizes)
     # the polar factor of a complex Gaussian matrix is Haar distributed
     gauss = np.random.default_rng(rng).standard_normal((2, restarts, len(mmat)))
@@ -780,9 +780,9 @@ def _dmax_generic(state, states, structure, restarts, rng, max_iters, tol_cyclic
         # phases relative to theta_0 = 0, as the qutrit closed form reports them
         theta = np.angle(x * x[:, :1].conj())
         x = np.exp(1j * theta)
-    w = np.zeros((restarts, state.dim_b, state.dim_b), dtype=complex)
+    w = np.zeros((restarts, states.dims[1], states.dims[1]), dtype=complex)
     w[:, rows, cols] = x
-    radicands = _direct_radicands(rho_rot, w, state.dims)
+    radicands = _direct_radicands(rho_rot, w, states.dims)
     best = int(np.argmax(radicands))
     d_runs = np.sqrt(np.maximum(radicands, 0.0))
     params = {"phases": theta[best].tolist()} if phase_family else {}
@@ -830,9 +830,9 @@ def _qutrit_phases(weights):
     return radicand, phases
 
 
-def _dmax_qutrit_phases(state, states, structure, tol_cyclic):
-    rho_rot = _conj_b(state.rho, structure.basis.conj().T, state.dims)
-    radicand, phases = _qutrit_phases(_quadratic_form(rho_rot, state.dims, (1, 1, 1)))
+def _dmax_qutrit_phases(states, structure, tol_cyclic):
+    rho_rot = _conj_b(states.rho[0], _adjoint(structure.basis), states.dims)
+    radicand, phases = _qutrit_phases(_quadratic_form(rho_rot, states.dims, (1, 1, 1)))
     v = structure.basis
     u = v @ np.diag(np.exp(1j * np.array(phases))) @ _adjoint(v)
     return _finalize(states, structure, u, radicand, "direct", "qutrit-phase-closed-form",
@@ -892,5 +892,5 @@ def d_max(state, *, restarts=16, method="auto", rng=None, eps_deg=EPS_DEGENERATE
     if method == "auto" and state.dim_b == 2:
         return _closed_form_result(states, structure, tol_cyclic)
     if method == "auto" and structure.block_sizes == (1, 1, 1):
-        return _dmax_qutrit_phases(state, states, structure, tol_cyclic)
-    return _dmax_generic(state, states, structure, restarts, rng, max_iters, tol_cyclic)
+        return _dmax_qutrit_phases(states, structure, tol_cyclic)
+    return _dmax_generic(states, structure, restarts, rng, max_iters, tol_cyclic)

@@ -1,9 +1,9 @@
 """Dense complex-matrix substrate for bipartite operator work.
 
 Generator bases of SU(N) (generalized Gell-Mann matrices), Kronecker
-products, partial traces and Hermitian eigendecomposition, together with
-the small validation helpers the rest of the package leans on.  All
-matrices are plain numpy arrays with ``dtype=complex``.
+products and partial traces, together with the Pauli combination
+``v . sigma`` and the unitarity check the rest of the package leans on.
+All matrices are plain numpy arrays with ``dtype=complex``.
 """
 
 from dataclasses import dataclass
@@ -11,7 +11,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import DimensionError, OperatorError
+from .errors import DimensionError
 
 DEFAULT_TOL = 1e-10
 
@@ -31,12 +31,6 @@ def _frozen(a):
     out = np.array(a, dtype=complex)
     out.setflags(write=False)
     return out
-
-
-def is_hermitian(m, tol=DEFAULT_TOL):
-    """True when ``m`` equals its conjugate transpose entrywise within ``tol``."""
-    m = np.asarray(m)
-    return m.ndim == 2 and m.shape[0] == m.shape[1] and np.abs(m - m.conj().T).max() <= tol
 
 
 def is_unitary(m, tol=DEFAULT_TOL):
@@ -162,27 +156,3 @@ def partial_trace(rho, dims, keep):
     if keep == "B":
         return np.einsum("...abad->...bd", r)
     raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
-
-
-def hermitian_eig(m, tol=DEFAULT_TOL):
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns (eigenvalues, eigenvectors) with eigenvalues real and
-    ascending and eigenvectors as the columns of a unitary matrix.
-    Raises OperatorError when the input is not Hermitian within ``tol``.
-    """
-    m = np.asarray(m, dtype=complex)
-    if not is_hermitian(m, tol):
-        raise OperatorError("matrix is not Hermitian within tolerance")
-    w, v = np.linalg.eigh(m)
-    return w, v
-
-
-def expi_hermitian(h):
-    """exp(iH) for Hermitian H, computed through its eigenbasis."""
-    w, v = np.linalg.eigh(np.asarray(h, dtype=complex))
-    return (v * np.exp(1j * w)) @ v.conj().T
-
-
-def commutator(a, b):
-    return a @ b - b @ a

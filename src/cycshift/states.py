@@ -203,15 +203,6 @@ def sample_random_state(seed, dims=(2, 2), rank=None, count=1):
         yield random_state_at(seed, i, dims=dims, rank=rank)
 
 
-def swap_subsystems(state):
-    """The same state with the roles of A and B exchanged."""
-    na, nb = state.dims
-    rho = state.rho.reshape(na, nb, na, nb).transpose(1, 0, 3, 2).reshape(
-        na * nb, na * nb
-    )
-    return BipartiteState(rho, (nb, na))
-
-
 def state_to_json(state):
     """JSON-serializable dict {dims, matrix} with row-major [re, im] pairs."""
     flat = state.rho.reshape(-1)

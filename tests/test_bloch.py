@@ -13,7 +13,6 @@ from cycshift.bloch import (
     bloch_vector,
     decompose,
     reconstruct,
-    reduced_bloch,
 )
 from cycshift.errors import DimensionError, NotAStateError
 from cycshift.operators import GeneratorBasis, gell_mann_basis, tensor
@@ -51,6 +50,15 @@ def test_state_rejects_wrong_trace():
 def test_state_rejects_negative_eigenvalue():
     m = np.diag([0.6, 0.5, -0.05, -0.05]).astype(complex)
     with pytest.raises(NotAStateError):
+        BipartiteState(m, (2, 2))
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf])
+@pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+def test_state_rejects_non_finite_entries(entry, where):
+    m = np.eye(4, dtype=complex) / 4
+    m[where] = m[where[::-1]] = entry
+    with pytest.raises(NotAStateError, match="non-finite entries"):
         BipartiteState(m, (2, 2))
 
 
@@ -116,7 +124,8 @@ def test_pure_local_states_have_unit_bloch_norm(dim):
     vec_b = haar_state_vector(2, rng)
     joint = np.kron(vec_a, vec_b)
     state = BipartiteState(np.outer(joint, joint.conj()), (dim, 2))
-    r_a, r_b = reduced_bloch(state)
+    r_a = bloch_vector(state.rho_a, gell_mann_basis(state.dim_a))
+    r_b = bloch_vector(state.rho_b, gell_mann_basis(state.dim_b))
     assert abs(np.linalg.norm(r_a) - 1.0) < 1e-12
     assert abs(np.linalg.norm(r_b) - 1.0) < 1e-12
 
@@ -161,7 +170,8 @@ def test_ensemble_beta_is_weighted_outer_sum():
 
 def test_bloch_vectors_stay_in_unit_ball():
     for state in sample_random_state(31, dims=(2, 3), count=25):
-        r_a, r_b = reduced_bloch(state)
+        r_a = bloch_vector(state.rho_a, gell_mann_basis(state.dim_a))
+        r_b = bloch_vector(state.rho_b, gell_mann_basis(state.dim_b))
         assert np.linalg.norm(r_a) <= 1.0 + 1e-12
         assert np.linalg.norm(r_b) <= 1.0 + 1e-12
 

@@ -10,24 +10,19 @@ from cycshift.chsh import (
     chsh_from_bloch,
     correlator,
     measurement_matrix,
-    pauli_conjugate,
-    rotation_from_unitary,
     run_protocol,
-    transported_settings,
 )
 from cycshift.cyclic import (
     apply_cyclic,
-    commutant_basis,
-    make_cyclic,
+    conjugation_matrix,
     phase_cyclic,
     shift_direct,
 )
-from cycshift.errors import ConsistencyError, DimensionError, RecoveryError
-from cycshift.operators import expi_hermitian, gell_mann_basis, tensor
+from cycshift.errors import DimensionError, RecoveryError
+from cycshift.operators import gell_mann_basis, tensor
 from cycshift.states import (
     bell_state,
     ensemble_state,
-    haar_state_vector,
     haar_unitary,
     maximally_mixed,
     sample_random_state,
@@ -48,12 +43,6 @@ def random_settings(rng):
         alice_1=random_axis(rng), alice_2=random_axis(rng),
         bob_1=random_axis(rng), bob_2=random_axis(rng),
     )
-
-
-def random_cyclic(state, rng):
-    structure = commutant_basis(state)
-    blocks = [haar_unitary(size, rng) for size in structure.block_sizes]
-    return make_cyclic(state, blocks, structure=structure)
 
 
 def aligned_state_under_local_unitary(rng):
@@ -114,50 +103,12 @@ def test_chsh_expectation_equals_bloch_contraction():
             assert abs(f_meas - f_bloch) < 1e-12
 
 
-def test_pauli_conjugate_is_rotation():
-    rng = np.random.default_rng(9)
-    for _ in range(5):
-        axis = random_axis(rng)
-        phi = rng.uniform(0.0, 2.0 * math.pi)
-        r = pauli_conjugate(axis, phi)
-        assert np.max(np.abs(r @ r.T - np.eye(3))) < 1e-12
-        assert abs(np.linalg.det(r) - 1.0) < 1e-12
-        # axis is fixed, the angle is phi
-        assert np.max(np.abs(r @ axis - axis)) < 1e-12
-        assert abs(np.trace(r) - (1.0 + 2.0 * math.cos(phi))) < 1e-12
-
-
-def test_pauli_conjugate_matches_unitary_conjugation():
-    rng = np.random.default_rng(11)
-    for _ in range(5):
-        axis = random_axis(rng)
-        phi = rng.uniform(0.0, 2.0 * math.pi)
-        h = sum(axis[i] * PAULI[i] for i in range(3))
-        u = expi_hermitian(0.5 * phi * h)
-        r_closed = pauli_conjugate(axis, phi)
-        r_conj = rotation_from_unitary(u)
-        assert np.max(np.abs(r_closed - r_conj)) < 1e-12
-
-
 def test_rotation_from_unitary_ignores_global_phase():
     rng = np.random.default_rng(13)
     u = haar_unitary(2, rng)
-    r1 = rotation_from_unitary(u)
-    r2 = rotation_from_unitary(np.exp(1j * 0.7) * u)
+    r1 = conjugation_matrix(u, gell_mann_basis(2))
+    r2 = conjugation_matrix(np.exp(1j * 0.7) * u, gell_mann_basis(2))
     assert np.max(np.abs(r1 - r2)) < 1e-13
-
-
-def test_transported_settings_preserve_chsh():
-    rng = np.random.default_rng(15)
-    for state in sample_random_state(17, dims=(2, 2), count=8):
-        unit = random_cyclic(state, rng)
-        u_full = np.kron(np.eye(2), unit.matrix)
-        final = BipartiteState(u_full @ state.rho @ u_full.conj().T, (2, 2))
-        settings = random_settings(rng)
-        moved = transported_settings(settings, unit)
-        f_before = chsh_expectation(state, settings)
-        f_after = chsh_expectation(final, moved)
-        assert abs(f_before - f_after) < 1e-12
 
 
 def test_protocol_reaches_tsirelson_on_bell():
@@ -196,7 +147,7 @@ def test_protocol_recovers_haar_rotation_on_bell():
     transcript = run_protocol(state, unit, rng=rng)
     assert abs(transcript.estimated_d - shift_direct(state, unit)) < 1e-9
     # the recovered rotation must match the true conjugation rotation
-    true_rot = rotation_from_unitary(unit)
+    true_rot = conjugation_matrix(unit, gell_mann_basis(2)).T
     assert np.max(np.abs(transcript.recovered_rotation - true_rot)) < 1e-9
 
 

@@ -17,6 +17,7 @@ from cycshift.cyclic import d_max
 from cycshift.errors import NotAStateError
 from cycshift.states import (
     bell_state,
+    maximally_mixed,
     random_state_at,
     schmidt_state,
     separable_at,
@@ -239,6 +240,38 @@ def test_invalid_tolerance_exits_2(capsys):
                            "--tol-psd=-1e-9")
     assert code == 2
     assert "tol_psd" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("option", [o.name for o in fields(RunConfig) if o.type is float])
+@pytest.mark.parametrize("source", ["flag", "environment"])
+def test_non_finite_tolerance_exits_2(capsys, monkeypatch, source, option, value):
+    # detect reads all five float options
+    argv = ["detect", "--state", "bell"]
+    if source == "flag":
+        argv.append(f"--{option.replace('_', '-')}={value}")
+    else:
+        monkeypatch.setenv("CYCSHIFT_" + option.upper(), value)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"{option} must be positive and finite, got {value}" in err
+
+
+def test_nan_state_file_exits_2(tmp_path, capsys):
+    # I/4 with one NaN on the diagonal: the trace and eigenvalue checks alone let it through
+    data = state_to_json(maximally_mixed((2, 2)))
+    data["matrix"][0] = [math.nan, 0.0]
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "decompose", "--state", str(path))
+    assert (code, out) == (2, "")
+    assert "non-finite entries" in err
+
+
+def test_every_export_resolves():
+    assert len(set(cycshift.__all__)) == len(cycshift.__all__)
+    for name in cycshift.__all__:
+        assert hasattr(cycshift, name), name
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():

@@ -37,7 +37,6 @@ from cycshift.states import (
     sample_random_state,
     sample_separable,
     schmidt_state,
-    swap_subsystems,
     werner_state,
 )
 
@@ -495,7 +494,8 @@ def test_qutrit_a_side_takes_the_batched_closed_forms():
     # values printed by the per-state closed forms before they became the
     # N=1 case of the batch
     states = [random_state_at(9, i, dims=(3, 2)) for i in range(3)]
-    states.append(swap_subsystems(random_state_at(4, 0, dims=(2, 3))))
+    rho = random_state_at(4, 0, dims=(2, 3)).rho  # the same state with A and B exchanged
+    states.append(BipartiteState(rho.reshape(2, 3, 2, 3).transpose(1, 0, 3, 2).reshape(6, 6), (3, 2)))
     want = [0.2937806121275084, 0.3201808415079439, 0.3474108990863925, 0.4095755287572705]
     forms = _qubit_b_closed_forms(np.stack([s.rho for s in states]), (3, 2))
     for i, state in enumerate(states):

@@ -2,26 +2,17 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from cycshift.errors import DimensionError, OperatorError
+from cycshift.errors import DimensionError
 from cycshift.operators import (
     SIGMA_1,
     SIGMA_2,
     SIGMA_3,
     _pauli,
-    commutator,
-    expi_hermitian,
     gell_mann_basis,
-    hermitian_eig,
-    is_hermitian,
     is_unitary,
     partial_trace,
     tensor,
 )
-
-
-def random_hermitian(n, rng):
-    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return m + m.conj().T
 
 
 def random_density(n, rng):
@@ -116,39 +107,9 @@ def test_partial_trace_rejects_bad_keep():
         partial_trace(np.eye(4) / 4, (2, 2), "C")
 
 
-def test_hermitian_eig_sorted_and_reconstructs():
-    rng = np.random.default_rng(3)
-    h = random_hermitian(4, rng)
-    w, v = hermitian_eig(h)
-    assert np.all(np.diff(w) >= 0)
-    assert np.max(np.abs((v * w) @ v.conj().T - h)) < 1e-12
-
-
-def test_hermitian_eig_rejects_non_hermitian():
-    with pytest.raises(OperatorError):
-        hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_expi_hermitian_matches_expm():
-    rng = np.random.default_rng(5)
-    for n in (2, 3):
-        h = random_hermitian(n, rng)
-        got = expi_hermitian(h)
-        want = expm(1j * h)
-        assert np.max(np.abs(got - want)) < 1e-12
-        assert is_unitary(got)
-
-
 def test_hermitian_and_unitary_predicates():
-    assert is_hermitian(SIGMA_2)
-    assert not is_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    assert is_unitary(expi_hermitian(SIGMA_1))
+    assert is_unitary(expm(1j * SIGMA_1))
     assert not is_unitary(2.0 * np.eye(2))
-
-
-def test_commutator():
-    assert np.max(np.abs(commutator(SIGMA_1, SIGMA_2) - 2j * SIGMA_3)) < 1e-14
-    assert np.max(np.abs(commutator(SIGMA_3, SIGMA_3))) == 0.0
 
 
 def test_pauli_of_a_stack_is_the_pauli_of_each_vector_bit_for_bit():

@@ -24,7 +24,6 @@ from cycshift.states import (
     separable_at,
     state_from_json,
     state_to_json,
-    swap_subsystems,
     werner_state,
 )
 
@@ -123,15 +122,6 @@ def test_sampler_argument_validation():
         separable_at(1, 0, m_range=(0, 4))
     with pytest.raises(ValueError):
         random_state_at(1, 0, dims=(2, 2), rank=9)
-
-
-def test_swap_subsystems_swaps_marginals():
-    state = next(sample_random_state(19, dims=(2, 3), count=1))
-    swapped = swap_subsystems(state)
-    assert swapped.dims == (3, 2)
-    before_a = partial_trace(state.rho, state.dims, "A")
-    after_b = partial_trace(swapped.rho, swapped.dims, "B")
-    assert np.max(np.abs(before_a - after_b)) < 1e-13
 
 
 def test_json_roundtrip():
