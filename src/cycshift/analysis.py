@@ -103,8 +103,11 @@ def detect(state, *, restarts=16, rng=None, tol_bound=TOL_BOUND,
     Computes the maximized shift, the separability-bound comparison, the
     partial transpose test and the outer-product classification, and
     combines them into a DetectionReport.  ``eps_deg`` and
-    ``tol_cyclic`` are passed on to ``d_max``.
+    ``tol_cyclic`` are passed on to ``d_max``.  ``tol_bound`` must be
+    positive and finite.
     """
+    if not 0.0 < tol_bound < math.inf:
+        raise ValueError(f"tol_bound must be positive and finite, got {tol_bound!r}")
     form = decompose(state)
     result = d_max(state, restarts=restarts, rng=rng, eps_deg=eps_deg, tol_cyclic=tol_cyclic)
     min_eig, ppt_negative = ppt_test(state)

@@ -51,11 +51,11 @@ class BipartiteState:
             raise DimensionError(
                 f"density matrix shape {rho.shape} does not match dims ({da}, {db})"
             )
+        if not np.isfinite(rho).all():
+            raise NotAStateError("matrix has non-finite entries")
         herm_defect = np.abs(rho - rho.conj().T).max()
-        # NaN-safe: a NaN or inf entry makes the defect NaN or inf
+        # NaN-safe: a NaN tolerance fails every state
         if not herm_defect <= tol_herm:
-            if not np.isfinite(herm_defect):
-                raise NotAStateError("matrix has non-finite entries")
             raise NotAStateError(
                 f"matrix is not Hermitian (max defect {herm_defect:.3e})"
             )
@@ -63,7 +63,7 @@ class BipartiteState:
         if abs(tr - 1.0) > TRACE_TOL:
             raise NotAStateError(f"trace is {tr:.12g}, expected 1")
         w = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
-        if w.min() < -tol_psd:
+        if not w.min() >= -tol_psd:
             raise NotAStateError(
                 f"matrix is not positive semidefinite (min eigenvalue {w.min():.3e})"
             )

@@ -204,7 +204,7 @@ def run_protocol(state, u, *, restarts=8, rng=None, tol_match=MATCH_TOL,
     )
     f_max_final = _chsh(state_f, alice, bob)
 
-    if abs(f_max_final - f_max_initial) > tol_match:
+    if not abs(f_max_final - f_max_initial) <= tol_match:
         raise RecoveryError(
             "stage-2 maximum does not reproduce the stage-1 maximum "
             f"({f_max_final:.9g} vs {f_max_initial:.9g}); the initial Bob axes "
@@ -230,7 +230,7 @@ def run_protocol(state, u, *, restarts=8, rng=None, tol_match=MATCH_TOL,
     estimated_d = _shift_from_radicand(0.125 * float(np.sum(diff * diff)))
 
     reference = shift_direct(state, unit, tol_cyclic=tol_cyclic)
-    if abs(estimated_d - reference) > tol_match:
+    if not abs(estimated_d - reference) <= tol_match:
         raise ConsistencyError(
             f"protocol estimate {estimated_d:.9g} disagrees with the direct "
             f"shift {reference:.9g}"

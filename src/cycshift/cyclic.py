@@ -39,7 +39,6 @@ CROSS_CHECK_TOL = 1e-9
 # this multiple of float epsilon (times max(1, Tr beta^T beta) on a qubit
 # B side, max(1, sum J) on a qutrit one).
 _FLAT_PHASE_FAMILY = 64.0 * np.finfo(float).eps
-_IDENTITY_2 = np.eye(2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,9 +76,9 @@ class CyclicUnitary:
 class ShiftResult:
     """Outcome of a shift maximization.
 
-    ``formula`` names the route that produced ``d`` ("direct" or
-    "correlation"); ``cross_check_residual`` is the disagreement between
-    the two routes evaluated at the returned unitary.  ``certified`` is
+    ``d`` is the ``formula`` route ("direct" or "correlation") evaluated
+    at ``unitary``, whatever the method; ``cross_check_residual`` is the
+    disagreement between the two routes there.  ``certified`` is
     True for the closed forms, and for the generic optimizer when its
     best restart met the stationarity test within its iteration budget.
     ``nfev`` counts the generic optimizer's gradient evaluations over all
@@ -273,7 +272,7 @@ def _shift_from_radicand(radicand):
 def _check_commutes(rho_b, u, tol_cyclic, checks):
     # The largest entry of [rho_B, U] for each U of a stack.
     comm = np.abs(rho_b @ u - u @ rho_b).max(axis=(-2, -1))
-    checks.fail(comm > tol_cyclic, NotCyclicError, lambda k: (
+    checks.fail(~(comm <= tol_cyclic), NotCyclicError, lambda k: (
         f"commutator with rho_B is {comm[k]:.3e}, above tolerance {tol_cyclic:.1e}"))
     return comm
 
@@ -481,20 +480,21 @@ def _states(rhos, dims, eps_deg):
                    levels, basis, _level_splits(levels, eps_deg))
 
 
-def _verify(states, unitary, radicands, formula, tol_cyclic, checks):
+def _verify(states, unitary, formula, tol_cyclic, checks, anchor=None):
     """Shifts and cross-check residuals of each state under its B-side unitary.
 
-    ``radicands`` are the squared shifts a d_max method found through the
-    ``formula`` route ("direct" or "correlation").  Each row passes, in
-    order: the checks of ``cyclic_from_matrix``; the radicands' floor and
-    ceiling; ``shift_direct``'s checks, whose commutator test is the one
-    just made; those of ``shift_correlation``; the cross-check of the two
-    routes; and the anchor check of the method's shift against its own
-    route.  Returns the shifts, the residuals and each unitary in the
-    eigenbasis of rho_B.  Residuals
-    compare squared shifts: the square root amplifies float noise without
-    bound as d approaches zero, while the radicands agree to absolute
-    precision everywhere.
+    The shift of a row is its ``formula`` route ("direct" or
+    "correlation") at the row's unitary, the one source of a d_max
+    result's ``d``.  ``anchor`` holds the squared shifts of a method's
+    own formula, when it has one.  Each row passes, in order: the checks
+    of ``cyclic_from_matrix``; ``shift_direct``'s checks, whose
+    commutator test is the one just made; those of ``shift_correlation``;
+    the anchor's floor and ceiling; the cross-check of the two routes;
+    and the check that the anchor matches the shift.  Returns the
+    shifts, the residuals and each unitary in the eigenbasis of rho_B.
+    Residuals compare squared shifts: the square root amplifies float
+    noise without bound as d approaches zero, while the radicands agree
+    to absolute precision everywhere.
 
     A large eps_deg can merge distinct levels of rho_B, and only a loose
     tol_cyclic lets through a unitary that mixes them.  When such a
@@ -503,12 +503,12 @@ def _verify(states, unitary, radicands, formula, tol_cyclic, checks):
     """
     comm, in_eig = _check_cyclic(unitary, states.rho_b, states.basis,
                                  _same_block(states.splits), 1e-10, tol_cyclic, checks)
-    d_val = _shifts_from_radicands(radicands, checks)
     d_dir = _shifts_from_radicands(_direct_radicands(states.rho, unitary, states.dims), checks)
     d_cor = _correlation_shifts(states.beta, states.r_b, unitary,
                                 gell_mann_basis(states.dims[1]), states.dims, tol_cyclic, checks)
     residual = np.abs(d_dir * d_dir - d_cor * d_cor)
-    anchor = d_dir if formula == "direct" else d_cor
+    d = d_dir if formula == "direct" else d_cor
+    d_anchor = d if anchor is None else _shifts_from_radicands(anchor, checks)
     loose = ~states.splits.all(axis=-1) & (comm > TOL_CYCLIC)
 
     def merged_levels(k):
@@ -528,17 +528,16 @@ def _verify(states, unitary, radicands, formula, tol_cyclic, checks):
 
     disagree(residual >= CROSS_CHECK_TOL, lambda k: (
         f"direct and correlation shifts disagree by {residual[k]:.3e} (squared) at the optimum"))
-    disagree(np.abs(d_val * d_val - anchor * anchor) > 1e-10, lambda k: (
-        f"optimized shift {d_val[k]:.12g} does not match its own formula "
-        f"re-evaluation {anchor[k]:.12g}"))
-    return d_val, residual, in_eig
+    disagree(np.abs(d_anchor * d_anchor - d * d) > 1e-10, lambda k: (
+        f"optimized shift {d_anchor[k]:.12g} does not match its own formula "
+        f"re-evaluation {d[k]:.12g}"))
+    return d, residual, in_eig
 
 
-def _finalize(states, structure, u, radicand, formula, method, tol_cyclic, **fields):
+def _finalize(states, structure, u, formula, method, tol_cyclic, anchor=None, **fields):
     """ShiftResult of the B-side unitary a d_max method found: the verifier's N=1 call."""
     checks = _RowChecks()
-    d, residual, in_eig = _verify(states, u[None], np.array([radicand], dtype=float),
-                                  formula, tol_cyclic, checks)
+    d, residual, in_eig = _verify(states, u[None], formula, tol_cyclic, checks, anchor)
     checks.raise_first()
     unit = CyclicUnitary(matrix=u, structure=structure,
                          block_unitaries=_blocks(in_eig[0], structure))
@@ -561,15 +560,15 @@ class _QubitBForms:
 
 def _half_turns(states):
     # Both closed forms are the half turn U = exp(i pi/2 w.sigma) = i w.sigma.
-    # Its conjugation rotates beta into beta (2 w w^T - I), so
-    # d^2 = 2 pref (Tr M - w^T M w) with M = beta^T beta, and only the axis
-    # w differs.  With two levels the commutant is the phase family about
-    # the Bloch axis u of rho_B, whose radicand pref (1 - cos phi)
+    # Its conjugation rotates beta into beta (2 w w^T - I), so the squared
+    # shift is 2 pref (Tr M - w^T M w) with M = beta^T beta, and only the
+    # axis w differs.  With two levels the commutant is the phase family
+    # about the Bloch axis u of rho_B, whose radicand pref (1 - cos phi)
     # (Tr M - u^T M u) peaks at phi = pi.  With merged levels every axis
     # is allowed, and the best one is the least eigenvector of M, where
-    # Tr M - w^T M w is the sum of the two larger eigenvalues.
-    # Returns the unitaries, the radicands, phi and the axes.
-    na, nb = states.dims
+    # Tr M - w^T M w is the sum of the two larger eigenvalues.  That spread
+    # only decides the flat family; _verify evaluates d at U.
+    # Returns the unitaries, phi and the axes.
     r_b, beta, basis = states.r_b, states.beta, states.basis
     merged = ~states.splits[:, 0]
     mmat = beta.transpose(0, 2, 1) @ beta
@@ -595,10 +594,8 @@ def _half_turns(states):
     u = basis @ diag @ _adjoint(basis)
     if merged.any():
         u[merged & moving] = 1j * _pauli(axis[merged & moving])
-        u[merged & ~moving] = _IDENTITY_2
-    pref = (na - 1) * (nb - 1) / (na * nb)
-    radicands = np.where(moving, 2.0 * pref * spread, 0.0)
-    return u, radicands, np.where(moving, math.pi, 0.0), axis
+        u[merged & ~moving] = np.eye(2)
+    return u, np.where(moving, math.pi, 0.0), axis
 
 
 def _qubit_b_closed_forms(rhos, dims, *, eps_deg=EPS_DEGENERATE, tol_cyclic=TOL_CYCLIC,
@@ -610,14 +607,14 @@ def _qubit_b_closed_forms(rhos, dims, *, eps_deg=EPS_DEGENERATE, tol_cyclic=TOL_
     ``commutant_basis``) takes the phase form, the others the rotation
     form; both are a half turn, about different axes.  Every row then
     passes ``_verify``, which starts with the checks of
-    ``cyclic_from_matrix``.  The first failure of the lowest failing row
-    is raised, named ``row first_index + i`` when ``first_index`` is
-    given.
+    ``cyclic_from_matrix`` and reports ``shift_correlation`` at the half
+    turn as d.  The first failure of the lowest failing row is raised,
+    named ``row first_index + i`` when ``first_index`` is given.
     """
     checks = _RowChecks(first_index)
     states = _states(rhos, dims, eps_deg)
-    unitary, radicands, phi, axis = _half_turns(states)
-    d, residual, _ = _verify(states, unitary, radicands, "correlation", tol_cyclic, checks)
+    unitary, phi, axis = _half_turns(states)
+    d, residual, _ = _verify(states, unitary, "correlation", tol_cyclic, checks)
     checks.raise_first()
     return _QubitBForms(d=d, beta=states.beta, merged=~states.splits[:, 0], unitary=unitary,
                         phi=phi, axis=axis, residual=residual)
@@ -625,10 +622,10 @@ def _qubit_b_closed_forms(rhos, dims, *, eps_deg=EPS_DEGENERATE, tol_cyclic=TOL_
 
 def _closed_form_result(states, structure, tol_cyclic):
     """ShiftResult of the qubit-B closed forms: the N=1 case of the batch."""
-    unitary, radicands, phi, axis = _half_turns(states)
+    unitary, phi, axis = _half_turns(states)
     method = "phase-closed-form" if states.splits[0, 0] else "rotation-closed-form"
-    return _finalize(states, structure, unitary[0], radicands[0], "correlation", method,
-                     tol_cyclic, restarts=0, certified=True,
+    return _finalize(states, structure, unitary[0], "correlation", method, tol_cyclic,
+                     restarts=0, certified=True,
                      params={"phi": float(phi[0]), "axis": [float(x) for x in axis[0]]})
 
 
@@ -788,7 +785,7 @@ def _dmax_generic(states, structure, restarts, rng, max_iters, tol_cyclic):
     params = {"phases": theta[best].tolist()} if phase_family else {}
     return _finalize(
         states, structure, structure.basis @ w[best] @ _adjoint(structure.basis),
-        float(radicands[best]), "direct", "multistart", tol_cyclic, restarts=restarts,
+        "direct", "multistart", tol_cyclic, anchor=radicands[best:best + 1], restarts=restarts,
         certified=bool(converged[best]), params=params, nfev=nfev,
         restart_spread=float(d_runs.max() - d_runs.min()))
 
@@ -835,8 +832,8 @@ def _dmax_qutrit_phases(states, structure, tol_cyclic):
     radicand, phases = _qutrit_phases(_quadratic_form(rho_rot, states.dims, (1, 1, 1)))
     v = structure.basis
     u = v @ np.diag(np.exp(1j * np.array(phases))) @ _adjoint(v)
-    return _finalize(states, structure, u, radicand, "direct", "qutrit-phase-closed-form",
-                     tol_cyclic, restarts=0, certified=True, params={"phases": phases})
+    return _finalize(states, structure, u, "direct", "qutrit-phase-closed-form", tol_cyclic,
+                     anchor=np.array([radicand]), restarts=0, certified=True, params={"phases": phases})
 
 
 def d_max(state, *, restarts=16, method="auto", rng=None, eps_deg=EPS_DEGENERATE,
@@ -873,8 +870,9 @@ def d_max(state, *, restarts=16, method="auto", rng=None, eps_deg=EPS_DEGENERATE
     Returns
     -------
     ShiftResult
-        Whatever the method, verified by the checks of ``shift_direct``
-        and ``shift_correlation`` and the cross-check of the two.
+        ``d`` is the method's formula (``shift_correlation`` for the
+        qubit-B closed forms, ``shift_direct`` otherwise) at the returned
+        unitary, verified by the checks of both and their cross-check.
 
     Raises
     ------

@@ -109,6 +109,13 @@ def test_detect_cc5050():
     assert not report.theorem_class
 
 
+@pytest.mark.parametrize("tol_bound", [float("nan"), math.inf, 0.0, -1e-9])
+def test_detect_rejects_a_tol_bound_that_is_not_positive_and_finite(tol_bound):
+    # werner(0.9) has d_max 0.9, above the separable bound
+    with pytest.raises(ValueError, match="tol_bound must be positive and finite"):
+        detect(werner_state(0.9), tol_bound=tol_bound)
+
+
 def test_detect_product_state():
     rng = np.random.default_rng(9)
     state = BipartiteState(

@@ -53,6 +53,15 @@ def test_state_rejects_negative_eigenvalue():
         BipartiteState(m, (2, 2))
 
 
+def test_nan_tolerance_fails_its_check():
+    m = np.diag([0.6, 0.5, -0.05, -0.05]).astype(complex)
+    with pytest.raises(NotAStateError, match="positive semidefinite"):
+        BipartiteState(m, (2, 2), tol_psd=float("nan"))
+    with pytest.raises(NotAStateError, match="Hermitian"):
+        BipartiteState(np.eye(4) / 4, (2, 2), tol_herm=float("nan"))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("entry", [np.nan, np.inf])
 @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
 def test_state_rejects_non_finite_entries(entry, where):

@@ -129,6 +129,12 @@ def test_protocol_recovers_schmidt_shift(k1, phi):
                * abs(math.sin(phi / 2.0))) < 1e-12
 
 
+def test_protocol_rejects_a_nan_tol_match():
+    state = schmidt_state(0.6, 0.8)
+    with pytest.raises(RecoveryError):
+        run_protocol(state, phase_cyclic(state, 1.2), tol_match=float("nan"))
+
+
 def test_protocol_recovers_werner_shift():
     rng = np.random.default_rng(3)
     for p in (0.3, 0.8):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -37,6 +38,7 @@ from cycshift.states import (
     sample_random_state,
     sample_separable,
     schmidt_state,
+    separable_at,
     werner_state,
 )
 
@@ -312,6 +314,12 @@ def test_conj_b_matches_kron(dims):
     assert np.max(np.abs(_conj_b(rho, u, dims) - want)) < 1e-14
 
 
+def test_nan_tol_cyclic_fails_the_commutator_check():
+    # sigma_x moves the Schmidt basis: its commutator with rho_B is 0.28
+    with pytest.raises(NotCyclicError, match="commutator"):
+        shift_direct(schmidt_state(0.6, 0.8), PAULI[0], tol_cyclic=float("nan"))
+
+
 def test_shift_radicand_ceiling():
     assert _shift_from_radicand(1.0 + 5e-13) == 1.0
     with pytest.raises(ConsistencyError):
@@ -491,18 +499,18 @@ def test_batch_rows_equal_single_state_dmax():
 
 
 def test_qutrit_a_side_takes_the_batched_closed_forms():
-    # values printed by the per-state closed forms before they became the
-    # N=1 case of the batch
     states = [random_state_at(9, i, dims=(3, 2)) for i in range(3)]
     rho = random_state_at(4, 0, dims=(2, 3)).rho  # the same state with A and B exchanged
     states.append(BipartiteState(rho.reshape(2, 3, 2, 3).transpose(1, 0, 3, 2).reshape(6, 6), (3, 2)))
-    want = [0.2937806121275084, 0.3201808415079439, 0.3474108990863925, 0.4095755287572705]
+    # mp_shift at the returned half turn, to 20 digits
+    want = [0.29378061212750855053, 0.32018084150794400175, 0.34741089908639247409,
+            0.40957552875727049265]
     forms = _qubit_b_closed_forms(np.stack([s.rho for s in states]), (3, 2))
     for i, state in enumerate(states):
         result = d_max(state)
         assert result.method == "phase-closed-form"
-        assert result.d == want[i]
-        assert forms.d[i] == want[i]
+        assert abs(result.d - want[i]) <= 2.0 * math.ulp(want[i])
+        assert forms.d[i] == result.d
         generic = d_max(state, method="generic", restarts=4, rng=np.random.default_rng(1))
         assert abs(generic.d - result.d) < 1e-8
     # rho_B = I/2 on a 3x2 state: the rotation form
@@ -513,6 +521,54 @@ def test_qutrit_a_side_takes_the_batched_closed_forms():
     result = d_max(BipartiteState(np.outer(psi, psi.conj()), (3, 2)))
     assert result.method == "rotation-closed-form"
     assert result.d == 1.0
+
+
+def mp_shift(rho, u, dims):
+    """sqrt(||rho - rho_f||^2 / 2) at 40 digits, from the float entries of rho and U."""
+    na, nb = dims
+    with mpmath.workdps(40):
+        r, um = mpmath.matrix(rho.tolist()), mpmath.matrix(np.asarray(u).tolist())
+        k = mpmath.zeros(na * nb)
+        for a in range(na):
+            for i in range(nb):
+                for j in range(nb):
+                    k[a * nb + i, a * nb + j] = um[i, j]
+        diff = r - k * r * k.H
+        return mpmath.sqrt(sum(abs(x) ** 2 for x in diff) / 2)
+
+
+def test_small_qubit_b_shifts_match_a_40_digit_oracle():
+    # |r_B| near 1 and d of 3e-4 and 1e-3: a closed form through
+    # Tr M - u^T M u loses five digits here to cancellation
+    states = [separable_at(0, index)[0] for index in (75, 624)]
+    forms = _qubit_b_closed_forms(np.stack([s.rho for s in states]), (2, 2))
+    for i, state in enumerate(states):
+        result = d_max(state)
+        for d, u in ((result.d, result.unitary.matrix), (forms.d[i], forms.unitary[i])):
+            exact = mp_shift(state.rho, u, state.dims)
+            assert d < 2e-3
+            assert abs(d - exact) <= 1e-12 * exact
+
+
+@pytest.mark.parametrize("state, method", [
+    (random_state_at(11, 0), "phase-closed-form"),
+    (separable_at(0, 75)[0], "phase-closed-form"),
+    (random_state_at(11, 1, (3, 2)), "phase-closed-form"),
+    (werner_state(0.7), "rotation-closed-form"),
+    (bell_state(), "rotation-closed-form"),
+    (random_state_at(11, 2, (2, 3)), "qutrit-phase-closed-form"),
+    (random_state_at(11, 3, (3, 3)), "qutrit-phase-closed-form"),
+    (random_state_at(11, 4, (2, 4)), "multistart"),
+    (maximally_mixed((2, 3)), "multistart"),
+])
+def test_d_is_the_formula_at_the_returned_unitary(state, method):
+    result = d_max(state, restarts=3, rng=0)
+    assert result.method == method
+    if result.formula == "direct":
+        assert result.d == shift_direct(state, result.unitary)
+    else:
+        assert result.formula == "correlation"
+        assert result.d == shift_correlation(decompose(state), result.unitary)
 
 
 def test_batch_names_the_row_whose_cross_check_fails():

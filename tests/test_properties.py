@@ -16,7 +16,6 @@ from cycshift.cyclic import (  # noqa: E402
     make_cyclic,
     shift_direct,
 )
-from cycshift.errors import ConsistencyError  # noqa: E402
 
 PAULI = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -154,17 +153,7 @@ def test_dmax_bounds_every_cyclic_unitary_on_a_qutrit(seed, na, kind):
         assert result.d >= shift_direct(state, unit) - 1e-12
 
 
-# Two qubit-B levels just above eps_deg: the phase closed form takes its
-# d from the Bloch axis of rho_B, whose direction is only good to about
-# eps / gap, but builds its unitary in the eigenbasis, and its own
-# consistency check then rejects the row (see CHANGES.md).
-_QUBIT_AXIS_DEFECT = pytest.mark.xfail(
-    strict=True, raises=ConsistencyError,
-    reason="qubit phase closed form: Bloch-axis d against an eigenbasis unitary")
-
-
-@pytest.mark.parametrize("nb, side", [(2, 0.9), pytest.param(2, 1.1, marks=_QUBIT_AXIS_DEFECT),
-                                      (3, 0.9), (3, 1.1)])
+@pytest.mark.parametrize("nb, side", [(2, 0.9), (2, 1.1), (3, 0.9), (3, 1.1)])
 @settings(max_examples=12, derandomize=True, deadline=None)
 @given(seeds, st.sampled_from([2, 3]))
 def test_generic_and_closed_forms_agree_at_the_merging_threshold(nb, side, seed, na):
