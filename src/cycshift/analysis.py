@@ -13,9 +13,18 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .cyclic import EPS_DEGENERATE, TOL_CYCLIC, d_max
-from .bloch import decompose
+from .bloch import _bloch_vectors
+from .cyclic import (
+    DEFAULT_RESTARTS,
+    EPS_DEGENERATE,
+    TOL_CYCLIC,
+    _check_positive_finite,
+    _d_max_of_states,
+    _states,
+    d_max,
+)
 from .errors import DimensionError, NotAStateError
+from .operators import gell_mann_basis
 
 SEPARABLE_BOUND = 1.0 / math.sqrt(2.0)
 TOL_BOUND = 1e-9
@@ -55,14 +64,13 @@ def _min_pt_eigenvalues(rhos, dims):
     return np.linalg.eigvalsh(herm).min(axis=1)
 
 
-def _outer_product_fit(form, tol=OUTER_FIT_TOL):
+def _outer_product_fit(r_a, r_b, beta, tol=OUTER_FIT_TOL):
     """Best fit of beta to alpha * rA rB^T, clamped to alpha in [0, 1].
 
     Returns (alpha, fits) where ``fits`` is True when the residual is
     within ``tol`` entrywise.  When either Bloch vector vanishes the
     outer product is zero, so only beta = 0 fits.
     """
-    r_a, r_b, beta = form.r_a, form.r_b, form.beta
     na2 = float(r_a @ r_a)
     nb2 = float(r_b @ r_b)
     if na2 * nb2 < 1e-24:
@@ -96,22 +104,23 @@ class DetectionReport:
         return asdict(self)
 
 
-def detect(state, *, restarts=16, rng=None, tol_bound=TOL_BOUND,
+def detect(state, *, restarts=DEFAULT_RESTARTS, rng=None, tol_bound=TOL_BOUND,
            eps_deg=EPS_DEGENERATE, tol_cyclic=TOL_CYCLIC):
     """Run the full detection battery on a state.
 
     Computes the maximized shift, the separability-bound comparison, the
     partial transpose test and the outer-product classification, and
-    combines them into a DetectionReport.  ``eps_deg`` and
-    ``tol_cyclic`` are passed on to ``d_max``.  ``tol_bound`` must be
-    positive and finite.
+    combines them into a DetectionReport.  ``restarts``, ``rng``,
+    ``eps_deg`` and ``tol_cyclic`` mean what they mean for ``d_max``, and
+    the outer-product fit reads the r_B and beta that ``d_max`` computes.
+    ``tol_bound`` must be positive and finite.
     """
-    if not 0.0 < tol_bound < math.inf:
-        raise ValueError(f"tol_bound must be positive and finite, got {tol_bound!r}")
-    form = decompose(state)
-    result = d_max(state, restarts=restarts, rng=rng, eps_deg=eps_deg, tol_cyclic=tol_cyclic)
+    _check_positive_finite("tol_bound", tol_bound)
+    states = _states(state.rho[None], state.dims, eps_deg)
+    result = _d_max_of_states(states, restarts, "auto", rng, None, tol_cyclic)
     min_eig, ppt_negative = ppt_test(state)
-    _, theorem_class = _outer_product_fit(form)
+    r_a = _bloch_vectors(state.rho_a, gell_mann_basis(state.dim_a))
+    _, theorem_class = _outer_product_fit(r_a, states.r_b[0], states.beta[0])
     two_qubit = state.dims == (2, 2)
     bound_violated = bool(two_qubit and result.d > SEPARABLE_BOUND + tol_bound)
     if bound_violated or ppt_negative:

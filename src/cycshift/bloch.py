@@ -23,6 +23,9 @@ from .errors import DimensionError, NotAStateError
 from .operators import gell_mann_basis, partial_trace, tensor
 
 TRACE_TOL = 1e-10
+# Default entrywise Hermiticity tolerance and eigenvalue floor of state validation
+TOL_HERM = 1e-10
+TOL_PSD = 1e-10
 
 
 class BipartiteState:
@@ -41,7 +44,7 @@ class BipartiteState:
     The stored matrix is a read-only copy; instances are safe to share.
     """
 
-    def __init__(self, rho, dims, *, tol_herm=1e-10, tol_psd=1e-10):
+    def __init__(self, rho, dims, *, tol_herm=TOL_HERM, tol_psd=TOL_PSD):
         da, db = (int(d) for d in dims)
         if da < 2 or db < 2:
             raise DimensionError(f"subsystem dimensions must be >= 2, got {dims}")
@@ -116,25 +119,18 @@ class BipartiteState:
 
 @dataclass(frozen=True, eq=False)
 class BlochForm:
-    """Coefficients (r_a, r_b, beta) of a state in bases basis_a, basis_b (None: Gell-Mann)."""
+    """Coefficients (r_a, r_b, beta) of a state in the Gell-Mann bases."""
 
     r_a: np.ndarray
     r_b: np.ndarray
     beta: np.ndarray
     dim_a: int
     dim_b: int
-    basis_a: object = None
-    basis_b: object = None
 
     @property
     def beta_norm(self):
         """Frobenius norm of the correlation matrix."""
         return float(np.linalg.norm(self.beta))
-
-    def bases(self):
-        """(basis_a, basis_b), with the Gell-Mann basis where None is recorded."""
-        return (gell_mann_basis(self.dim_a) if self.basis_a is None else self.basis_a,
-                gell_mann_basis(self.dim_b) if self.basis_b is None else self.basis_b)
 
 
 def _coeff_r(n):
@@ -149,9 +145,9 @@ def _coeff_beta(na, nb):
 
 @dataclass(frozen=True, eq=False)
 class _BetaTerms:
-    """Nonzero entries of every product g_i (x) g_j, sorted by (pair, k, l).
+    """Nonzero entries of every Gell-Mann product g_i (x) g_j, sorted by (pair, k, l).
 
-    ``pair`` is the flat index i * len(basis_b) + j, ``source`` the flat
+    ``pair`` is the flat index i * (nb^2 - 1) + j, ``source`` the flat
     index of rho[l, k], ``target`` that of entry (k, l), and ``value`` the
     product entry.  For a fixed pair the terms run in C order over (k, l),
     and for a fixed (k, l) in C order over (i, j).  Adding them one after
@@ -172,11 +168,12 @@ class _BetaTerms:
         return self.shape[0] * self.shape[1]
 
 
-def _build_beta_terms(stack_a, stack_b):
+@lru_cache(maxsize=None)
+def _gell_mann_beta_terms(na, nb):
     # Every nonzero of an A-side generator times every nonzero of a B-side
     # one, the entry ga[p, q] * gb[r, s] of ga (x) gb at (p nb + r, q nb + s).
-    nb = stack_b.shape[1]
-    n = stack_a.shape[1] * nb
+    stack_a, stack_b = gell_mann_basis(na).stack, gell_mann_basis(nb).stack
+    n = na * nb
     ia, pa, qa = np.nonzero(stack_a)
     ib, pb, qb = np.nonzero(stack_b)
     pair = (ia[:, None] * len(stack_b) + ib).ravel()
@@ -189,18 +186,6 @@ def _build_beta_terms(stack_a, stack_b):
     for table in tables:
         table.setflags(write=False)
     return _BetaTerms((len(stack_a), len(stack_b)), *tables)
-
-
-@lru_cache(maxsize=None)
-def _gell_mann_beta_terms(na, nb):
-    return _build_beta_terms(gell_mann_basis(na).stack, gell_mann_basis(nb).stack)
-
-
-def _beta_terms(basis_a, basis_b):
-    # Term tables of the two bases; only the canonical ones are cached.
-    if basis_a is gell_mann_basis(basis_a.dim) and basis_b is gell_mann_basis(basis_b.dim):
-        return _gell_mann_beta_terms(basis_a.dim, basis_b.dim)
-    return _build_beta_terms(basis_a.stack, basis_b.stack)
 
 
 def bloch_vector(rho_reduced, basis):
@@ -219,10 +204,10 @@ def _bloch_vectors(rho_reduced, basis):
     return _coeff_r(basis.dim) * np.einsum("...ij,kji->...k", rho_reduced, basis.stack).real
 
 
-def _correlation_matrices(rho, basis_a, basis_b):
+def _correlation_matrices(rho, dims):
     # beta of a density matrix, or of each matrix of a stack: each term
     # value * rho[..., l, k] is added into its (i, j) in table order.
-    terms = _beta_terms(basis_a, basis_b)
+    terms = _gell_mann_beta_terms(*dims)
     lead = rho.shape[:-2]
     flat = rho.reshape(-1, rho.shape[-1] ** 2)
     count = len(flat)
@@ -232,47 +217,32 @@ def _correlation_matrices(rho, basis_a, basis_b):
         index = (index + terms.size * np.arange(count)[:, None]).ravel()
     prod = (terms.value * flat.take(terms.source, axis=1)).real
     beta = np.bincount(index, prod.ravel(), terms.size * count)
-    return _coeff_beta(basis_a.dim, basis_b.dim) * beta.reshape(lead + terms.shape)
+    return _coeff_beta(*dims) * beta.reshape(lead + terms.shape)
 
 
-def decompose(state, basis_a=None, basis_b=None):
-    """Extract the Bloch form of a bipartite state.
+def decompose(state):
+    """The Bloch form of a bipartite state, in the Gell-Mann bases of its dims.
 
-    Parameters
-    ----------
-    state : BipartiteState
-    basis_a, basis_b : GeneratorBasis, optional
-        Generator bases for the two subsystems.  Default to the
-        canonical Gell-Mann bases of the state's dimensions.
-
-    Returns
-    -------
-    BlochForm
+    The maximal shift does not depend on the choice of generator basis, so
+    every form is written in the one canonical set.
     """
     na, nb = state.dims
-    basis_a = gell_mann_basis(na) if basis_a is None else basis_a
-    basis_b = gell_mann_basis(nb) if basis_b is None else basis_b
-    if basis_a.dim != na or basis_b.dim != nb:
-        raise DimensionError(
-            f"basis dims ({basis_a.dim}, {basis_b.dim}) do not match state dims {state.dims}"
-        )
-    r_a = bloch_vector(state.rho_a, basis_a)
-    r_b = bloch_vector(state.rho_b, basis_b)
-    beta = _correlation_matrices(state.rho, basis_a, basis_b)
+    r_a = _bloch_vectors(state.rho_a, gell_mann_basis(na))
+    r_b = _bloch_vectors(state.rho_b, gell_mann_basis(nb))
+    beta = _correlation_matrices(state.rho, state.dims)
     r_a.setflags(write=False)
     r_b.setflags(write=False)
     beta.setflags(write=False)
-    return BlochForm(r_a, r_b, beta, na, nb, basis_a, basis_b)
+    return BlochForm(r_a, r_b, beta, na, nb)
 
 
-def reconstruct(form, *, tol_psd=1e-10):
-    """Rebuild the density matrix from a Bloch form, in the form's bases.
+def reconstruct(form, *, tol_psd=TOL_PSD):
+    """Rebuild the density matrix from a Bloch form in the Gell-Mann bases.
 
     Raises NotAStateError when the coefficients do not describe a
     positive semidefinite unit-trace matrix.
     """
     na, nb = form.dim_a, form.dim_b
-    basis_a, basis_b = form.bases()
     r_a = np.asarray(form.r_a, dtype=float)
     r_b = np.asarray(form.r_b, dtype=float)
     beta = np.asarray(form.beta, dtype=float)
@@ -286,13 +256,13 @@ def reconstruct(form, *, tol_psd=1e-10):
     rho = np.eye(n, dtype=complex)
     eye_a = np.eye(na, dtype=complex)
     eye_b = np.eye(nb, dtype=complex)
-    for i, ga in enumerate(basis_a):
+    for i, ga in enumerate(gell_mann_basis(na)):
         if r_a[i] != 0.0:
             rho += ca * r_a[i] * tensor(ga, eye_b)
-    for j, gb in enumerate(basis_b):
+    for j, gb in enumerate(gell_mann_basis(nb)):
         if r_b[j] != 0.0:
             rho += cb * r_b[j] * tensor(eye_a, gb)
-    terms = _beta_terms(basis_a, basis_b)
+    terms = _gell_mann_beta_terms(na, nb)
     corr = np.zeros(n * n, dtype=complex)
     np.add.at(corr, terms.target, beta.ravel()[terms.pair] * terms.value)
     rho += ca * cb * corr.reshape(n, n)

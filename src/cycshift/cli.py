@@ -13,11 +13,9 @@ States are named either by a builtin pattern (``bell``, ``schmidt:0.6``,
 file with ``dims`` and a row-major ``matrix`` of [re, im] pairs.
 
 Each subcommand accepts only the numeric options it reads (``RunConfig``
-lists them) and exits 2 on the others.  Every numeric option can also be
-set through an environment variable ``CYCSHIFT_<NAME>``
-(``CYCSHIFT_RESTARTS``, ``CYCSHIFT_TOL_PSD``, ...), a default for every
-subcommand; a command line flag wins over the environment, which wins
-over the built-in default.
+lists them) and exits 2 on the others.  The command line is the only
+source of options: an option that is not given takes the library's
+default, and the environment is not read.
 
 Exit codes: 0 success, 2 bad input or unrecoverable protocol geometry,
 3 internal consistency failure (two formulas disagreeing, which means a
@@ -28,16 +26,24 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .analysis import PPT_EIG_FLOOR, SEPARABLE_BOUND, _min_pt_eigenvalues, detect
-from .bloch import decompose
+from .analysis import PPT_EIG_FLOOR, SEPARABLE_BOUND, TOL_BOUND, _min_pt_eigenvalues, detect
+from .bloch import TOL_HERM, TOL_PSD, decompose
 from .chsh import run_protocol
-from .cyclic import _qubit_b_closed_forms, d_max, phase_cyclic, shift_direct
+from .cyclic import (
+    DEFAULT_RESTARTS,
+    EPS_DEGENERATE,
+    TOL_CYCLIC,
+    _check_positive_finite,
+    _qubit_b_closed_forms,
+    d_max,
+    phase_cyclic,
+    shift_direct,
+)
 from .errors import ConsistencyError, RecoveryError
 from .states import (
     random_state_at,
@@ -48,11 +54,10 @@ from .states import (
     werner_state,
 )
 
-ENV_PREFIX = "CYCSHIFT_"
-
 SCAN_FAMILIES = ("separable", "werner-grid", "schmidt-grid", "random")
 SCAN_SCHEMA = "scan-schema=v1"
-SCAN_HEADER = "index,family,param,d_max,beta_norm,ppt_entangled,bound_violated"
+SCAN_COLUMNS = ("index", "family", "param", "d_max", "beta_norm", "ppt_entangled",
+                "bound_violated")
 
 
 def _option(default, read_by, help):
@@ -63,15 +68,15 @@ def _option(default, read_by, help):
 class RunConfig:
     """Resolved numeric options.
 
-    The one table of the options' names, types, built-in defaults, the
-    subcommands that read them, and help texts.  A subcommand accepts
-    exactly the flags it reads; ``chsh --restarts`` is the one flag that
-    is accepted, validated and ignored.
+    The one table of the options' names, types, defaults (the library's
+    own), the subcommands that read them, and help texts.  A subcommand
+    accepts exactly the flags it reads; ``chsh --restarts`` is the one
+    flag that is accepted, validated and ignored.
     """
 
     seed: int = _option(0, "dmax detect scan",
                         "base seed for samplers and optimizer restarts")
-    restarts: int = _option(16, "dmax detect chsh",
+    restarts: int = _option(DEFAULT_RESTARTS, "dmax detect chsh",
                             "multi-start count for the generic d_max optimizer "
                             "(no effect where d_max has a closed form: a qubit B side "
                             "or a nondegenerate qutrit B side; nor on chsh, whose "
@@ -79,39 +84,22 @@ class RunConfig:
     workers: int = _option(1, "scan",
                            "parallel worker processes, each computing one contiguous "
                            "block of rows")
-    tol_herm: float = _option(1e-10, "decompose dmax detect chsh",
+    tol_herm: float = _option(TOL_HERM, "decompose dmax detect chsh",
                               "Hermiticity tolerance for state validation")
-    tol_psd: float = _option(1e-10, "decompose dmax detect chsh",
+    tol_psd: float = _option(TOL_PSD, "decompose dmax detect chsh",
                              "positivity tolerance for state validation")
-    tol_cyclic: float = _option(1e-9, "dmax detect scan chsh",
+    tol_cyclic: float = _option(TOL_CYCLIC, "dmax detect scan chsh",
                                 "commutation tolerance for cyclic unitaries")
-    eps_deg: float = _option(1e-9, "dmax detect scan chsh",
+    eps_deg: float = _option(EPS_DEGENERATE, "dmax detect scan chsh",
                              "eigenvalue gap below which levels count as degenerate")
-    tol_bound: float = _option(1e-9, "detect scan",
+    tol_bound: float = _option(TOL_BOUND, "detect scan",
                                "margin when testing the separable shift bound")
 
 
 def _resolve_config(args):
-    values = {}
-    for option in fields(RunConfig):
-        key, caster = option.name, option.type
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = caster(flag)
-            continue
-        env_name = ENV_PREFIX + key.upper()
-        raw = os.environ.get(env_name)
-        if raw is None:
-            values[key] = option.default
-            continue
-        try:
-            values[key] = caster(raw)
-        except ValueError:
-            raise ValueError(
-                f"environment variable {env_name} must be {caster.__name__}, "
-                f"got {raw!r}"
-            ) from None
-    config = RunConfig(**values)
+    # a subcommand's parser holds only the options it reads; the rest keep their defaults
+    config = RunConfig(**{option.name: getattr(args, option.name, option.default)
+                          for option in fields(RunConfig)})
     if config.seed < 0:
         raise ValueError(f"seed must be >= 0, got {config.seed}")
     if config.restarts < 1:
@@ -119,9 +107,8 @@ def _resolve_config(args):
     if config.workers < 1:
         raise ValueError(f"workers must be >= 1, got {config.workers}")
     for option in fields(RunConfig):
-        value = getattr(config, option.name)
-        if option.type is float and not 0.0 < value < math.inf:
-            raise ValueError(f"{option.name} must be positive and finite, got {value}")
+        if option.type is float:
+            _check_positive_finite(option.name, getattr(config, option.name))
     return config
 
 
@@ -337,24 +324,12 @@ def _cmd_scan(args, config):
             "family": args.family,
             "count": args.count,
             "seed": config.seed,
-            "rows": [
-                {
-                    "index": index,
-                    "family": family,
-                    "param": param,
-                    "d_max": d_value,
-                    "beta_norm": beta_norm,
-                    "ppt_entangled": bool(ppt_entangled),
-                    "bound_violated": bool(bound_violated),
-                }
-                for index, family, param, d_value, beta_norm,
-                    ppt_entangled, bound_violated in rows
-            ],
+            "rows": [dict(zip(SCAN_COLUMNS, row)) for row in rows],
             "max_d_max": max_d,
         }
         return _json_text(payload)
 
-    lines = [f"# {SCAN_SCHEMA}", SCAN_HEADER]
+    lines = [f"# {SCAN_SCHEMA}", ",".join(SCAN_COLUMNS)]
     for index, family, param, d_value, beta_norm, ppt_entangled, bound_violated in rows:
         lines.append(
             f"{index},{family},{param!r},{d_value!r},{beta_norm!r},"
@@ -368,7 +343,8 @@ def _add_config_flags(parser, command):
     for option in fields(RunConfig):
         if command in option.metadata["read_by"]:
             parser.add_argument("--" + option.name.replace("_", "-"), type=option.type,
-                                default=None, dest=option.name, help=option.metadata["help"])
+                                default=option.default, dest=option.name,
+                                help=option.metadata["help"])
     parser.add_argument("--out", default=None,
                         help="write the report to this file instead of stdout")
 
@@ -377,9 +353,9 @@ def _add_config_flags(parser, command):
 def build_parser():
     """The argument parser, built once per process.
 
-    It holds no environment state: ``_resolve_config`` reads the
-    ``CYCSHIFT_*`` variables on every call.  ``subcommands`` maps each
-    subcommand's name to its parser, which reports the options it rejects.
+    Each subcommand's numeric flags default to their ``RunConfig``
+    defaults.  ``subcommands`` maps each subcommand's name to its parser,
+    which reports the options it rejects.
     """
     parser = argparse.ArgumentParser(
         prog="cycshift",

@@ -29,6 +29,7 @@ from .operators import _pauli, gell_mann_basis, is_unitary, partial_trace
 
 EPS_DEGENERATE = 1e-9
 TOL_CYCLIC = 1e-9
+DEFAULT_RESTARTS = 16  # starts of the generic optimizer
 # The radicand Tr(rho^2) - Tr(rho rho_f) lies in [0, 1] for a density
 # matrix.  Values outside that range by no more than these margins are
 # rounding noise and clamped; anything further raises ConsistencyError.
@@ -114,8 +115,14 @@ def _level_splits(w, eps_deg):
 
     Levels merge when their gap is below ``eps_deg * max(1, |lambda|max)``.
     """
+    _check_positive_finite("eps_deg", eps_deg)
     threshold = eps_deg * np.maximum(1.0, np.abs(w).max(axis=-1))
     return w[..., 1:] - w[..., :-1] >= threshold[..., None]
+
+
+def _check_positive_finite(name, value):
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 def _structure(w, v, splits):
@@ -392,11 +399,11 @@ def _conjugation_matrices(us, gs):
 def beta_final(form, u):
     """Correlation matrix after the cyclic map, from the rotation form.
 
-    beta_f = beta R^T with R the conjugation matrix of U in the form's
-    B-side generator basis.  The Frobenius norm of beta is preserved; a
+    beta_f = beta R^T with R the conjugation matrix of U in the B-side
+    Gell-Mann basis.  The Frobenius norm of beta is preserved; a
     violation beyond 1e-10 raises ConsistencyError.
     """
-    r = conjugation_matrix(u, form.bases()[1])
+    r = conjugation_matrix(u, gell_mann_basis(form.dim_b))
     checks = _RowChecks()
     beta_f = _rotated_correlations(form.beta[None], r[None], checks)
     checks.raise_first()
@@ -420,13 +427,14 @@ def _reduced_from_bloch(r, basis):
     return (np.eye(n) + cb * np.einsum("...j,jab->...ab", r, basis.stack)) / n
 
 
-def _correlation_shifts(beta, r_b, u, basis_b, dims, tol_cyclic, checks):
+def _correlation_shifts(beta, r_b, u, dims, tol_cyclic, checks):
     # shift_correlation for each row: the commutator with rho_B rebuilt
     # from r_B, the norm of beta under the rotation, then the radicand's
     # floor and ceiling.
+    na, nb = dims
+    basis_b = gell_mann_basis(nb)
     _check_commutes(_reduced_from_bloch(r_b, basis_b), u, tol_cyclic, checks)
     beta_f = _rotated_correlations(beta, _conjugation_matrices(u, basis_b.stack), checks)
-    na, nb = dims
     pref = (na - 1) * (nb - 1) / (na * nb)
     diff = beta - beta_f
     return _shifts_from_radicands(pref * 0.5 * (diff * diff).sum(axis=(-2, -1)), checks)
@@ -438,14 +446,12 @@ def shift_correlation(form, u, *, tol_cyclic=TOL_CYCLIC):
     d = sqrt( (NA-1)(NB-1)/(NA NB) * (|beta|^2 - sum_ij beta_ij beta_f_ij) ),
     evaluated as the equivalent half squared norm of beta - beta_f so
     the radicand stays exact as d approaches zero.  Agrees with
-    shift_direct for every cyclic unitary.  The form's coefficients are
-    read in the bases it records.
+    shift_direct for every cyclic unitary.
     """
-    basis_b = form.bases()[1]
-    m = _unitary_of(u, basis_b.dim)
+    m = _unitary_of(u, form.dim_b)
     checks = _RowChecks()
-    d = _correlation_shifts(form.beta[None], form.r_b[None], m[None], basis_b,
-                            (form.dim_a, form.dim_b), tol_cyclic, checks)
+    d = _correlation_shifts(form.beta[None], form.r_b[None], m[None], (form.dim_a, form.dim_b),
+                            tol_cyclic, checks)
     checks.raise_first()
     return float(d[0])
 
@@ -472,12 +478,10 @@ class _States:
 
 
 def _states(rhos, dims, eps_deg):
-    gb = gell_mann_basis(dims[1])
     rho_b = partial_trace(rhos, dims, "B")
     levels, basis = np.linalg.eigh(rho_b)
-    return _States(rhos, dims, rho_b, _bloch_vectors(rho_b, gb),
-                   _correlation_matrices(rhos, gell_mann_basis(dims[0]), gb),
-                   levels, basis, _level_splits(levels, eps_deg))
+    return _States(rhos, dims, rho_b, _bloch_vectors(rho_b, gell_mann_basis(dims[1])),
+                   _correlation_matrices(rhos, dims), levels, basis, _level_splits(levels, eps_deg))
 
 
 def _verify(states, unitary, formula, tol_cyclic, checks, anchor=None):
@@ -504,8 +508,7 @@ def _verify(states, unitary, formula, tol_cyclic, checks, anchor=None):
     comm, in_eig = _check_cyclic(unitary, states.rho_b, states.basis,
                                  _same_block(states.splits), 1e-10, tol_cyclic, checks)
     d_dir = _shifts_from_radicands(_direct_radicands(states.rho, unitary, states.dims), checks)
-    d_cor = _correlation_shifts(states.beta, states.r_b, unitary,
-                                gell_mann_basis(states.dims[1]), states.dims, tol_cyclic, checks)
+    d_cor = _correlation_shifts(states.beta, states.r_b, unitary, states.dims, tol_cyclic, checks)
     residual = np.abs(d_dir * d_dir - d_cor * d_cor)
     d = d_dir if formula == "direct" else d_cor
     d_anchor = d if anchor is None else _shifts_from_radicands(anchor, checks)
@@ -836,7 +839,7 @@ def _dmax_qutrit_phases(states, structure, tol_cyclic):
                      anchor=np.array([radicand]), restarts=0, certified=True, params={"phases": phases})
 
 
-def d_max(state, *, restarts=16, method="auto", rng=None, eps_deg=EPS_DEGENERATE,
+def d_max(state, *, restarts=DEFAULT_RESTARTS, method="auto", rng=None, eps_deg=EPS_DEGENERATE,
           max_iters=None, tol_cyclic=TOL_CYCLIC):
     """Maximize the shift over all cyclic unitaries on subsystem B.
 
@@ -881,13 +884,18 @@ def d_max(state, *, restarts=16, method="auto", rng=None, eps_deg=EPS_DEGENERATE
         merged distinct levels of rho_B and a loose ``tol_cyclic`` let
         through a unitary that mixes them; ConsistencyError otherwise.
     """
+    return _d_max_of_states(_states(state.rho[None], state.dims, eps_deg),
+                            restarts, method, rng, max_iters, tol_cyclic)
+
+
+def _d_max_of_states(states, restarts, method, rng, max_iters, tol_cyclic):
+    # d_max of the one state of ``states``, dispatched to its method.
     if method not in ("auto", "generic"):
         raise ValueError(f"method must be 'auto' or 'generic', got {method!r}")
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
-    states = _states(state.rho[None], state.dims, eps_deg)
     structure = _structure(states.levels[0].copy(), states.basis[0].copy(), states.splits[0])
-    if method == "auto" and state.dim_b == 2:
+    if method == "auto" and states.dims[1] == 2:
         return _closed_form_result(states, structure, tol_cyclic)
     if method == "auto" and structure.block_sizes == (1, 1, 1):
         return _dmax_qutrit_phases(states, structure, tol_cyclic)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import BipartiteState
+from .bloch import TOL_HERM, TOL_PSD, BipartiteState
 from .errors import DimensionError, NormalizationError, NotAStateError
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
@@ -212,7 +212,7 @@ def state_to_json(state):
     }
 
 
-def state_from_json(data, *, tol_herm=1e-10, tol_psd=1e-10):
+def state_from_json(data, *, tol_herm=TOL_HERM, tol_psd=TOL_PSD):
     """Inverse of state_to_json, with full schema and physics validation."""
     if not isinstance(data, dict):
         raise ValueError("state JSON must be an object with 'dims' and 'matrix'")

@@ -191,15 +191,20 @@ def test_bound_violators_are_ppt_negative():
 @pytest.mark.parametrize("state", [schmidt_state(0.6, 0.8), bell_state(),
                                    next(sample_random_state(83, dims=(2, 3), count=1))])
 def test_detect_decomposes_once(monkeypatch, state):
-    import cycshift.analysis
+    # beta, the costly part of a decomposition, is computed once: the
+    # outer-product fit reads the one that d_max computes
+    import cycshift.bloch
+    import cycshift.cyclic
 
     calls = []
+    real = cycshift.bloch._correlation_matrices
 
-    def counting(st, *args, **kwargs):
-        calls.append(st)
-        return decompose(st, *args, **kwargs)
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
 
-    monkeypatch.setattr(cycshift.analysis, "decompose", counting)
+    for module in (cycshift.bloch, cycshift.cyclic):
+        monkeypatch.setattr(module, "_correlation_matrices", counting)
     report = detect(state, restarts=2, rng=np.random.default_rng(3))
     assert len(calls) == 1
     assert report.d_max == d_max(state, restarts=2, rng=np.random.default_rng(3)).d

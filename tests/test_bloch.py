@@ -15,7 +15,7 @@ from cycshift.bloch import (
     reconstruct,
 )
 from cycshift.errors import DimensionError, NotAStateError
-from cycshift.operators import GeneratorBasis, gell_mann_basis, tensor
+from cycshift.operators import gell_mann_basis, tensor
 from cycshift.states import (
     bell_state,
     cc5050,
@@ -228,17 +228,16 @@ def test_correlation_matrices_match_the_dense_contraction_bit_for_bit(dims):
     rng = np.random.default_rng(n)
     pairs = dense_pair_stack(na, nb)
     coeff = math.sqrt(na * nb / (4.0 * (na - 1) * (nb - 1)))
-    basis_a, basis_b = gell_mann_basis(na), gell_mann_basis(nb)
     for _ in range(5):
         rho = random_density(n, rng)
         want = coeff * np.einsum("ijkl,lk->ij", pairs, rho).real
-        assert np.array_equal(_correlation_matrices(rho, basis_a, basis_b), want)
+        assert np.array_equal(_correlation_matrices(rho, dims), want)
     stack = np.stack([random_density(n, rng) for _ in range(6)])
     want = coeff * np.einsum("ijkl,...lk->...ij", pairs, stack).real
-    assert np.array_equal(_correlation_matrices(stack, basis_a, basis_b), want)
+    assert np.array_equal(_correlation_matrices(stack, dims), want)
     # a stack of one matrix, as d_max passes, and an empty stack
-    assert np.array_equal(_correlation_matrices(stack[:1], basis_a, basis_b), want[:1])
-    assert _correlation_matrices(stack[:0], basis_a, basis_b).shape == (0,) + pairs.shape[:2]
+    assert np.array_equal(_correlation_matrices(stack[:1], dims), want[:1])
+    assert _correlation_matrices(stack[:0], dims).shape == (0,) + pairs.shape[:2]
 
 
 @pytest.mark.parametrize("dims", ORACLE_DIMS)
@@ -260,47 +259,16 @@ def test_reconstruct_beta_term_matches_the_dense_scatter_bit_for_bit(dims):
         assert np.array_equal(reconstruct(form).rho, want)
 
 
-def test_decompose_uses_the_bases_it_is_given_for_beta():
-    rng = np.random.default_rng(21)
-    state = BipartiteState(random_density(4, rng), (2, 2))
-    perm = [2, 0, 1]
-    permuted = GeneratorBasis(dim=2, matrices=tuple(PAULI[i] for i in perm))
-    form = decompose(state)
-    moved = decompose(state, permuted, permuted)
-    assert np.array_equal(moved.r_a, form.r_a[perm])
-    assert np.array_equal(moved.r_b, form.r_b[perm])
-    assert np.array_equal(moved.beta, form.beta[np.ix_(perm, perm)])
-    # one side permuted, the other canonical
-    state = BipartiteState(random_density(6, rng), (2, 3))
-    form = decompose(state)
-    moved = decompose(state, basis_a=permuted)
-    assert np.array_equal(moved.beta, form.beta[perm])
-
-
-def rotated_basis(dim, rng):
-    # g'_i = sum_j O_ij g_j for a random orthogonal O keeps Tr(g'_i g'_j) = 2 delta_ij
-    stack = gell_mann_basis(dim).stack
-    o, _ = np.linalg.qr(rng.standard_normal((len(stack), len(stack))))
-    return GeneratorBasis(dim=dim, matrices=tuple(np.einsum("ij,jab->iab", o, stack)))
-
-
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
 def test_reconstruct_rebuilds_in_the_bases_of_the_form(dims):
+    # every form is in the Gell-Mann bases, also one built by hand
     rng = np.random.default_rng(22)
     na, nb = dims
     state = BipartiteState(random_density(na * nb, rng), dims)
-    permuted = GeneratorBasis(dim=2, matrices=tuple(PAULI[i] for i in (2, 0, 1)))
-    cases = [(rotated_basis(na, rng), rotated_basis(nb, rng)),
-             (gell_mann_basis(na), rotated_basis(nb, rng))]
-    if dims == (2, 2):
-        cases.append((permuted, permuted))
-    for basis_a, basis_b in cases:
-        form = decompose(state, basis_a, basis_b)
-        assert form.basis_a is basis_a and form.basis_b is basis_b
-        assert np.abs(reconstruct(form).rho - state.rho).max() < 1e-14
-    # the canonical path is the one a form without bases takes
     form = decompose(state)
-    bare = BlochForm(r_a=form.r_a, r_b=form.r_b, beta=form.beta, dim_a=na, dim_b=nb)
+    assert np.abs(reconstruct(form).rho - state.rho).max() < 1e-14
+    bare = BlochForm(r_a=np.array(form.r_a), r_b=np.array(form.r_b), beta=np.array(form.beta),
+                     dim_a=na, dim_b=nb)
     assert np.array_equal(reconstruct(form).rho, reconstruct(bare).rho)
 
 

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import os
@@ -11,9 +12,11 @@ import pytest
 import cycshift
 import cycshift.cli
 import cycshift.cyclic
+from cycshift.analysis import detect
 from cycshift.bloch import BipartiteState, decompose
+from cycshift.chsh import run_protocol
 from cycshift.cli import RunConfig, main
-from cycshift.cyclic import d_max
+from cycshift.cyclic import cyclic_from_matrix, d_max, shift_direct
 from cycshift.errors import NotAStateError
 from cycshift.states import (
     bell_state,
@@ -21,6 +24,7 @@ from cycshift.states import (
     random_state_at,
     schmidt_state,
     separable_at,
+    state_from_json,
     state_to_json,
     werner_state,
 )
@@ -206,33 +210,45 @@ def test_scan_rejects_bad_count(capsys):
     assert "count" in err
 
 
-def test_env_override_and_flag_precedence(capsys, monkeypatch):
-    monkeypatch.setenv("CYCSHIFT_RESTARTS", "3")
-    code, out, _ = run_cli(capsys, "dmax", "--state", "bell")
+def test_env_override_and_flag_precedence(capsys):
+    # the closed form ignores restarts for the result, but the flag is
+    # still parsed and validated
+    code, _, _ = run_cli(capsys, "dmax", "--state", "bell", "--restarts", "3")
     assert code == 0
-    # closed form ignores restarts for the result, but the config layer
-    # must still accept and validate the value
-    monkeypatch.setenv("CYCSHIFT_RESTARTS", "junk")
-    code, _, err = run_cli(capsys, "dmax", "--state", "bell")
+    with pytest.raises(SystemExit) as exc:
+        main(["dmax", "--state", "bell", "--restarts", "junk"])
+    assert exc.value.code == 2
+    assert "argument --restarts: invalid int value: 'junk'" in capsys.readouterr().err
+    code, _, err = run_cli(capsys, "dmax", "--state", "bell", "--restarts", "0")
     assert code == 2
-    assert "CYCSHIFT_RESTARTS" in err
-    # a flag beats a bad environment value? no: the environment is only
-    # read when the flag is absent
-    code, out, _ = run_cli(capsys, "dmax", "--state", "bell",
-                           "--restarts", "4")
+    assert "restarts must be >= 1" in err
+    # a later flag wins over an earlier one
+    code, out, _ = run_cli(capsys, "dmax", "--state", "maxmixed:2x3",
+                           "--restarts", "9", "--restarts", "4")
     assert code == 0
+    assert json.loads(out)["restarts"] == 4
 
 
-def test_env_seed_changes_scan(capsys, monkeypatch):
-    code, out_default, _ = run_cli(capsys, "scan", "--family", "separable",
-                                   "--count", "3")
-    monkeypatch.setenv("CYCSHIFT_SEED", "99")
-    code, out_env, _ = run_cli(capsys, "scan", "--family", "separable",
-                               "--count", "3")
-    assert out_env != out_default
-    code, out_flag, _ = run_cli(capsys, "scan", "--family", "separable",
-                                "--count", "3", "--seed", "0")
-    assert out_flag == out_default
+def test_seed_flag_changes_scan(capsys):
+    argv = ["scan", "--family", "separable", "--count", "3"]
+    _, out_default, _ = run_cli(capsys, *argv)
+    assert run_cli(capsys, *argv, "--seed", "99")[1] != out_default
+    assert run_cli(capsys, *argv, "--seed", "0")[1] == out_default
+
+
+@pytest.mark.parametrize("argv", [
+    ["dmax", "--state", "maxmixed:2x3"],
+    ["decompose", "--state", "bell"],
+    ["scan", "--family", "separable", "--count", "20"],
+])
+def test_the_environment_sets_no_option(capsys, monkeypatch, argv):
+    # the command line is the one source of options: a bad restart count,
+    # an invalid worker count and another seed in the environment change nothing
+    code, want, _ = run_cli(capsys, *argv)
+    assert code == 0
+    for name, value in (("RESTARTS", "junk"), ("WORKERS", "0"), ("SEED", "99")):
+        monkeypatch.setenv("CYCSHIFT_" + name, value)
+    assert run_cli(capsys, *argv) == (0, want, "")
 
 
 def test_invalid_tolerance_exits_2(capsys):
@@ -244,15 +260,11 @@ def test_invalid_tolerance_exits_2(capsys):
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("option", [o.name for o in fields(RunConfig) if o.type is float])
-@pytest.mark.parametrize("source", ["flag", "environment"])
-def test_non_finite_tolerance_exits_2(capsys, monkeypatch, source, option, value):
+@pytest.mark.parametrize("source", ["flag"])  # the command line is the one source of options
+def test_non_finite_tolerance_exits_2(capsys, source, option, value):
     # detect reads all five float options
-    argv = ["detect", "--state", "bell"]
-    if source == "flag":
-        argv.append(f"--{option.replace('_', '-')}={value}")
-    else:
-        monkeypatch.setenv("CYCSHIFT_" + option.upper(), value)
-    code, out, err = run_cli(capsys, *argv)
+    code, out, err = run_cli(capsys, "detect", "--state", "bell",
+                             f"--{option.replace('_', '-')}={value}")
     assert (code, out) == (2, "")
     assert f"{option} must be positive and finite, got {value}" in err
 
@@ -422,11 +434,11 @@ def test_merged_qutrit_levels_with_loose_tol_cyclic_exit_2(tmp_path, capsys):
     assert "--eps-deg" in err and "--tol-cyclic" in err
 
 
-def test_each_main_call_reads_its_own_environment(capsys, monkeypatch):
-    # the parser is built once per process; the environment is read per call
-    for restarts in (2, 5):
-        monkeypatch.setenv("CYCSHIFT_RESTARTS", str(restarts))
-        code, out, _ = run_cli(capsys, "dmax", "--state", "maxmixed:2x3")
+def test_each_main_call_reads_its_own_environment(capsys):
+    # the parser is built once per process, and each call reads only its
+    # own flags: a call without --restarts takes the default again
+    for flag, restarts in ((["--restarts", "2"], 2), (["--restarts", "5"], 5), ([], 16)):
+        code, out, _ = run_cli(capsys, "dmax", "--state", "maxmixed:2x3", *flag)
         assert code == 0
         data = json.loads(out)
         assert data["method"] == "multistart"
@@ -540,9 +552,24 @@ def test_subcommands_read_the_options_they_accept(tmp_path, capsys, monkeypatch,
     assert read == accepted - ignored
 
 
-def test_environment_still_sets_options_a_subcommand_rejects(capsys, monkeypatch):
-    # CYCSHIFT_* variables stay process-wide defaults, validated on every call
-    monkeypatch.setenv("CYCSHIFT_WORKERS", "0")
-    code, _, err = run_cli(capsys, "decompose", "--state", "bell")
-    assert code == 2
-    assert "workers must be >= 1" in err
+# The library function parameters that each option's value is passed to.
+# seed and workers have none: the CLI seeds default_rng(seed) and splits a
+# scan into workers blocks itself.
+FEEDS = {
+    "restarts": (d_max, detect),
+    "tol_herm": (BipartiteState, state_from_json),
+    "tol_psd": (BipartiteState, state_from_json),
+    "tol_cyclic": (d_max, detect, cyclic_from_matrix, shift_direct, run_protocol),
+    "eps_deg": (d_max, detect, cyclic_from_matrix),
+    "tol_bound": (detect,),
+}
+
+
+def test_each_option_defaults_to_the_library_default_it_feeds():
+    assert set(FEEDS) | {"seed", "workers"} == {option.name for option in fields(RunConfig)}
+    config = RunConfig()
+    for name, functions in FEEDS.items():
+        for function in functions:
+            default = inspect.signature(function).parameters[name].default
+            assert getattr(config, name) == default, (name, function.__name__)
+    assert (config.seed, config.workers) == (0, 1)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import cycshift.cyclic
+from cycshift.analysis import detect
 from cycshift.bloch import BipartiteState, decompose
 from cycshift.cyclic import (
     _block_layout,
@@ -26,7 +27,7 @@ from cycshift.cyclic import (
     shift_direct,
 )
 from cycshift.errors import ConsistencyError, MergedLevelsError, NotCyclicError, OperatorError
-from cycshift.operators import GeneratorBasis, gell_mann_basis, partial_trace, tensor
+from cycshift.operators import gell_mann_basis, partial_trace, tensor
 from cycshift.states import (
     bell_state,
     cc5050,
@@ -312,6 +313,22 @@ def test_conj_b_matches_kron(dims):
     full = np.kron(np.eye(na), u)
     want = full @ rho @ full.conj().T
     assert np.max(np.abs(_conj_b(rho, u, dims) - want)) < 1e-14
+
+
+@pytest.mark.parametrize("eps_deg", [float("nan"), math.inf, 0.0, -1e-9])
+def test_eps_deg_that_is_not_positive_and_finite_is_rejected(eps_deg):
+    # a NaN gap threshold used to merge every level, and d_max then failed
+    # a commutator check that named no option
+    state = schmidt_state(0.6, 0.8)
+    message = f"eps_deg must be positive and finite, got {eps_deg!r}"
+    for call in (lambda: commutant_basis(state, eps_deg=eps_deg),
+                 lambda: d_max(state, eps_deg=eps_deg),
+                 lambda: detect(state, eps_deg=eps_deg),
+                 lambda: phase_cyclic(state, 1.0, eps_deg=eps_deg),
+                 lambda: _qubit_b_closed_forms(state.rho[None], (2, 2), eps_deg=eps_deg)):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message
 
 
 def test_nan_tol_cyclic_fails_the_commutator_check():
@@ -718,22 +735,6 @@ def test_qutrit_b_with_a_degenerate_pair_takes_the_optimizer():
     result = d_max(state, restarts=2, rng=0)
     assert result.unitary.structure.block_sizes == (1, 2)
     assert result.method == "multistart"
-
-
-def test_shift_correlation_reads_the_form_in_its_own_bases():
-    # a form decomposed in a permuted Pauli basis, where the canonical
-    # reading of its r_B gives a rho_B the phase unitary does not commute with
-    state = random_state_at(3, 0)
-    permuted = GeneratorBasis(dim=2, matrices=tuple(PAULI[i] for i in (2, 0, 1)))
-    unit = phase_cyclic(state, 1.3)
-    form = decompose(state, permuted, permuted)
-    want = shift_direct(state, unit)
-    assert abs(want - 0.2883) < 1e-4
-    assert abs(shift_correlation(form, unit) - want) < 1e-12
-    assert abs(np.linalg.norm(beta_final(form, unit)) - form.beta_norm) < 1e-12
-    # beta_f in the permuted basis is the canonical beta_f permuted
-    canonical = beta_final(decompose(state), unit)
-    assert np.abs(beta_final(form, unit) - canonical[np.ix_((2, 0, 1), (2, 0, 1))]).max() < 1e-12
 
 
 def _count_calls(monkeypatch, name):
