@@ -28,6 +28,74 @@ TOL_HERM = 1e-10
 TOL_PSD = 1e-10
 
 
+def _named(message, first_index, row):
+    # A block's error message, naming row first_index + row when first_index is given
+    return message if first_index is None else f"row {first_index + row}: {message}"
+
+
+def _state_fault(rhos, tol_herm, tol_psd):
+    """The message of the first state check that a stack fails, or None.
+
+    The checks, in order: finite entries; Hermitian within ``tol_herm``;
+    unit trace within TRACE_TOL; eigenvalues of the Hermitian part at
+    least ``-tol_psd``.  Each reduces over the whole stack, so the stack
+    passes only if every matrix does.  The comparisons are NaN-safe: a
+    NaN tolerance fails every state.
+    """
+    if not np.isfinite(rhos).all():
+        return "matrix has non-finite entries"
+    adjoint = rhos.conj().swapaxes(-1, -2)
+    herm_defect = np.abs(rhos - adjoint).max()
+    if not herm_defect <= tol_herm:
+        return f"matrix is not Hermitian (max defect {herm_defect:.3e})"
+    tr = rhos.trace(axis1=-2, axis2=-1)
+    off = np.abs(tr - 1.0)
+    if off.max() > TRACE_TOL:
+        return f"trace is {tr[off.argmax()]:.12g}, expected 1"
+    w = np.linalg.eigvalsh((rhos + adjoint) / 2.0).min()
+    if not w >= -tol_psd:
+        return f"matrix is not positive semidefinite (min eigenvalue {w:.3e})"
+    return None
+
+
+def _validate_states(rhos, *, tol_herm=TOL_HERM, tol_psd=TOL_PSD, first_index=None):
+    """Check each matrix of an (N, n, n) stack as a density matrix.
+
+    Raises NotAStateError with ``BipartiteState``'s checks, tolerances and
+    messages.  The stack is checked as a whole; only when it fails is the
+    lowest failing row looked for, and its first failed check is named
+    ``row first_index + i`` when ``first_index`` is given.
+    """
+    message = _state_fault(rhos, tol_herm, tol_psd)
+    if message is None:
+        return
+    if first_index is not None:
+        for k in range(len(rhos)):
+            message = _state_fault(rhos[k:k + 1], tol_herm, tol_psd)
+            if message is not None:
+                message = _named(message, first_index, k)
+                break
+    raise NotAStateError(message)
+
+
+def _sq_norms(x):
+    """Squared norm along the last axis of a real stack, as np.linalg.norm takes it.
+
+    np.linalg.norm sums the squares with a BLAS ddot, which may use fused
+    multiply-adds; einsum, sum and an explicit x0**2 + x1**2 then differ
+    from it in the last bit.  A stacked (1, k) @ (k, 1) matmul hands each
+    row to the same ddot, with the same strides, so it agrees bit for bit.
+    """
+    return (x[..., None, :] @ x[..., :, None])[..., 0, 0]
+
+
+def _purities(rhos):
+    # Tr rho^2 of each matrix of a stack: np.vdot of each flattened matrix
+    # with itself, bit for bit, as one stacked (1, n^2) @ (n^2, 1) matmul
+    flat = rhos.reshape(len(rhos), 1, -1)
+    return (flat.conj() @ flat.swapaxes(-1, -2))[:, 0, 0].real
+
+
 class BipartiteState:
     """Validated density matrix on a two-part Hilbert space.
 
@@ -54,22 +122,7 @@ class BipartiteState:
             raise DimensionError(
                 f"density matrix shape {rho.shape} does not match dims ({da}, {db})"
             )
-        if not np.isfinite(rho).all():
-            raise NotAStateError("matrix has non-finite entries")
-        herm_defect = np.abs(rho - rho.conj().T).max()
-        # NaN-safe: a NaN tolerance fails every state
-        if not herm_defect <= tol_herm:
-            raise NotAStateError(
-                f"matrix is not Hermitian (max defect {herm_defect:.3e})"
-            )
-        tr = rho.trace()
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise NotAStateError(f"trace is {tr:.12g}, expected 1")
-        w = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
-        if not w.min() >= -tol_psd:
-            raise NotAStateError(
-                f"matrix is not positive semidefinite (min eigenvalue {w.min():.3e})"
-            )
+        _validate_states(rho[None], tol_herm=tol_herm, tol_psd=tol_psd)
         mat = rho.copy()
         mat.setflags(write=False)
         self._rho = mat
@@ -103,7 +156,7 @@ class BipartiteState:
         return out
 
     def purity(self):
-        return float(np.vdot(self._rho, self._rho).real)
+        return float(_purities(self._rho[None])[0])
 
     @cached_property
     def state_id(self):

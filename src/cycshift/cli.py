@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .analysis import PPT_EIG_FLOOR, SEPARABLE_BOUND, TOL_BOUND, _min_pt_eigenvalues, detect
-from .bloch import TOL_HERM, TOL_PSD, decompose
+from .bloch import TOL_HERM, TOL_PSD, _purities, _sq_norms, _validate_states, decompose
 from .chsh import run_protocol
 from .cyclic import (
     DEFAULT_RESTARTS,
@@ -46,12 +46,13 @@ from .cyclic import (
 )
 from .errors import ConsistencyError, RecoveryError
 from .states import (
-    random_state_at,
+    SAMPLE_BLOCK,
+    _random_block,
+    _schmidt_block,
+    _separable_block,
+    _werner_block,
     resolve_builtin,
-    schmidt_state,
-    separable_at,
     state_from_json,
-    werner_state,
 )
 
 SCAN_FAMILIES = ("separable", "werner-grid", "schmidt-grid", "random")
@@ -250,47 +251,44 @@ def _cmd_chsh(args, config):
     return _json_text(payload)
 
 
-def _scan_sample(family, index, grid, seed):
-    """State and scalar parameter for one scan row.
+def _scan_rows(task):
+    """Rows start..stop-1 of a scan, built, validated and computed as one block.
 
     The parameter column records the grid value for grid families, the
     ensemble size for separable samples and the purity for random ones.
     """
-    if family == "separable":
-        state, ensemble = separable_at(seed, index)
-        return state, float(ensemble.m)
-    if family == "werner-grid":
-        p = float(grid[index])
-        return werner_state(p), p
-    if family == "schmidt-grid":
-        k1 = float(grid[index])
-        return schmidt_state(k1, math.sqrt(max(0.0, 1.0 - k1 * k1))), k1
-    if family == "random":
-        state = random_state_at(seed, index)
-        return state, state.purity()
-    raise ValueError(f"unknown scan family {family!r}")
-
-
-def _scan_rows(task):
-    """Rows start..stop-1 of a scan, drawn one by one and computed as one batch."""
     family, start, stop, grid, seed, eps_deg, tol_cyclic, tol_bound = task
-    rhos = np.empty((stop - start, 4, 4), dtype=complex)  # every family is two-qubit
-    params = []
-    for row, index in enumerate(range(start, stop)):
-        try:
-            state, param = _scan_sample(family, index, grid, seed)
-        except ValueError as exc:
-            raise type(exc)(f"row {index}: {exc}") from None
-        rhos[row] = state.rho
-        params.append(param)
+    if family == "separable":
+        # built SAMPLE_BLOCK rows at a time, so that the draws held at once stay few
+        rhos, params = np.empty((stop - start, 4, 4), dtype=complex), []
+        for first in range(start, stop, SAMPLE_BLOCK):
+            last = min(stop, first + SAMPLE_BLOCK)
+            rhos[first - start:last - start], draws = _separable_block(seed, first, last)
+            params += [float(len(weights)) for weights, _ in draws]
+    elif family == "random":
+        rhos = _random_block(seed, start, stop)
+        params = _purities(rhos).tolist()
+    elif family == "werner-grid":
+        rhos = _werner_block(grid[start:stop], first_index=start)
+        params = grid[start:stop].tolist()
+    elif family == "schmidt-grid":
+        k1 = grid[start:stop]
+        rhos = _schmidt_block(k1, np.sqrt(np.maximum(0.0, 1.0 - k1 * k1)), first_index=start)
+        params = k1.tolist()
+    else:
+        raise ValueError(f"unknown scan family {family!r}")
+    _validate_states(rhos, first_index=start)
+    # every family is two-qubit
     forms = _qubit_b_closed_forms(rhos, (2, 2), eps_deg=eps_deg, tol_cyclic=tol_cyclic,
                                   first_index=start)
+    beta_norms = np.sqrt(_sq_norms(forms.beta.reshape(len(rhos), -1)))
     min_eigs = _min_pt_eigenvalues(rhos, (2, 2))
     return [
-        (index, family, param, d_value, float(np.linalg.norm(beta)),
+        (index, family, param, d_value, beta_norm,
          min_eig < PPT_EIG_FLOOR, d_value > SEPARABLE_BOUND + tol_bound)
-        for index, param, d_value, beta, min_eig in zip(
-            range(start, stop), params, forms.d.tolist(), forms.beta, min_eigs.tolist())
+        for index, param, d_value, beta_norm, min_eig in zip(
+            range(start, stop), params, forms.d.tolist(), beta_norms.tolist(),
+            min_eigs.tolist())
     ]
 
 

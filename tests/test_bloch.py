@@ -10,6 +10,7 @@ from cycshift.bloch import (
     _bloch_vectors,
     _correlation_matrices,
     _gell_mann_beta_terms,
+    _validate_states,
     bloch_vector,
     decompose,
     reconstruct,
@@ -69,6 +70,46 @@ def test_state_rejects_non_finite_entries(entry, where):
     m[where] = m[where[::-1]] = entry
     with pytest.raises(NotAStateError, match="non-finite entries"):
         BipartiteState(m, (2, 2))
+
+
+def _faulty_matrices():
+    # row k of the stack fails the k-th of BipartiteState's checks
+    non_finite = np.eye(4, dtype=complex) / 4
+    non_finite[1, 1] = np.nan
+    non_hermitian = np.eye(4, dtype=complex) / 4
+    non_hermitian[0, 1] = 0.1
+    return {
+        1: non_finite,
+        2: non_hermitian,
+        3: np.eye(4, dtype=complex),
+        4: np.diag([0.6, 0.5, -0.05, -0.05]).astype(complex),
+    }
+
+
+@pytest.mark.parametrize("row", [1, 2, 3, 4])
+def test_stack_validator_names_the_failing_row(row):
+    rng = np.random.default_rng(row)
+    bad = _faulty_matrices()[row]
+    with pytest.raises(NotAStateError) as single:
+        BipartiteState(bad, (2, 2))
+    stack = np.array([random_density(4, rng) for _ in range(6)])
+    _validate_states(stack, first_index=10)
+    stack[row] = bad
+    with pytest.raises(NotAStateError) as block:
+        _validate_states(stack, first_index=0)
+    assert str(block.value) == f"row {row}: {single.value}"
+    with pytest.raises(NotAStateError) as offset:
+        _validate_states(stack, first_index=30)
+    assert str(offset.value) == f"row {30 + row}: {single.value}"
+
+
+def test_stack_validator_reports_the_lowest_failing_row():
+    # row 3 fails a later check than row 4; the lowest row still wins
+    faulty = _faulty_matrices()
+    stack = np.array([np.eye(4, dtype=complex) / 4] * 6)
+    stack[3], stack[4] = faulty[4], faulty[1]
+    with pytest.raises(NotAStateError, match=r"^row 3: matrix is not positive semidefinite"):
+        _validate_states(stack, first_index=0)
 
 
 def test_state_rejects_mismatched_dims():

@@ -17,7 +17,6 @@ from cycshift.bloch import BipartiteState, decompose
 from cycshift.chsh import run_protocol
 from cycshift.cli import RunConfig, main
 from cycshift.cyclic import cyclic_from_matrix, d_max, shift_direct
-from cycshift.errors import NotAStateError
 from cycshift.states import (
     bell_state,
     maximally_mixed,
@@ -389,6 +388,16 @@ def test_scan_worker_blocks_do_not_change_output(tmp_path, capsys, family):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+def test_scan_separable_chunks_do_not_change_output(capsys, monkeypatch):
+    # a worker builds its separable rows SAMPLE_BLOCK at a time
+    argv = ("scan", "--family", "separable", "--count", "23", "--seed", "4")
+    _, whole, _ = run_cli(capsys, *argv)
+    monkeypatch.setattr(cycshift.cli, "SAMPLE_BLOCK", 5)
+    code, chunked, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert chunked == whole
+
+
 def test_scan_cross_check_failure_names_the_row(capsys, monkeypatch):
     monkeypatch.setattr(cycshift.cyclic, "CROSS_CHECK_TOL", -1.0)
     code, _, err = run_cli(capsys, "scan", "--family", "random", "--count", "4")
@@ -397,12 +406,17 @@ def test_scan_cross_check_failure_names_the_row(capsys, monkeypatch):
 
 
 def test_scan_sampling_failure_names_the_row(capsys, monkeypatch):
-    def sampler(seed, index):
-        if index == 2:
-            raise NotAStateError("matrix is not positive semidefinite")
-        return random_state_at(seed, index)
+    # scan validates each block once; a bad row from the random block builder
+    # must still be reported under its own index
+    build = cycshift.cli._random_block
 
-    monkeypatch.setattr(cycshift.cli, "random_state_at", sampler)
+    def builder(seed, start, stop):
+        rhos = build(seed, start, stop)
+        if start <= 2 < stop:
+            rhos[2 - start] = np.diag([0.6, 0.5, -0.05, -0.05])
+        return rhos
+
+    monkeypatch.setattr(cycshift.cli, "_random_block", builder)
     code, _, err = run_cli(capsys, "scan", "--family", "random", "--count", "4")
     assert code == 2
     assert "row 2: matrix is not positive semidefinite" in err

@@ -8,8 +8,13 @@ from cycshift.errors import (
     NormalizationError,
     NotAStateError,
 )
+from cycshift.bloch import _purities, _sq_norms
 from cycshift.operators import partial_trace
 from cycshift.states import (
+    _random_block,
+    _schmidt_block,
+    _separable_block,
+    _werner_block,
     bell_state,
     cc5050,
     ensemble_state,
@@ -164,3 +169,127 @@ def test_resolve_builtin():
         resolve_builtin("bell:1")
     with pytest.raises(ValueError):
         resolve_builtin("maxmixed:6")
+
+
+# Oracles for the block builders: the per-sample, per-term construction
+# they replace, written out with the scalar numpy calls (np.kron, np.outer,
+# np.linalg.norm, np.vdot) and compared with np.array_equal.
+
+def _oracle_rng(seed, index):
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+
+
+def _oracle_separable(seed, index, da=2, db=2, lo=2, hi=8):
+    rng = _oracle_rng(seed, index)
+    m = int(rng.integers(lo, hi + 1))
+    weights = rng.dirichlet(np.ones(m))
+    rho = np.zeros((da * db, da * db), dtype=complex)
+    terms = []
+    for l in range(m):
+        vecs = []
+        for dim in (da, db):
+            z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            vecs.append(z / np.linalg.norm(z))
+        joint = np.kron(vecs[0], vecs[1])
+        rho += float(weights[l]) * np.outer(joint, joint.conj())
+        terms.append((float(weights[l]), vecs[0], vecs[1]))
+    return rho, terms
+
+
+def _oracle_random(seed, index, n=4, r=4):
+    rng = _oracle_rng(seed, index)
+    g = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
+    rho = g @ g.conj().T
+    rho /= rho.trace().real
+    return rho
+
+
+@pytest.mark.parametrize("seed", [0, 42])
+def test_separable_block_matches_the_per_term_construction(seed):
+    rhos, draws = _separable_block(seed, 0, 2000)
+    for index in range(2000):
+        rho, want = _oracle_separable(seed, index)
+        assert len(draws[index][0]) == len(want)
+        assert np.array_equal(rhos[index], rho), index
+    for index in (0, 7, 1999, 5000):
+        state, ensemble = separable_at(seed, index)
+        rho, want = _oracle_separable(seed, index)
+        assert np.array_equal(state.rho, rho)
+        assert ensemble.m == len(want)
+        for (weight, vec_a, vec_b), (w, a, b) in zip(ensemble.terms, want):
+            assert weight == w and np.array_equal(vec_a, a) and np.array_equal(vec_b, b)
+    ensembles = [ensemble for _, ensemble in sample_separable(seed, count=50)]
+    for index, ensemble in enumerate(ensembles):
+        _, want = _oracle_separable(seed, index)
+        assert [w for w, _, _ in ensemble.terms] == [w for w, _, _ in want]
+        assert np.array_equal([a for _, a, _ in ensemble.terms], [a for _, a, _ in want])
+
+
+def test_separable_block_matches_on_unequal_dims():
+    rhos, _ = _separable_block(3, 10, 60, dims=(2, 3), m_range=(1, 4))
+    for row, index in enumerate(range(10, 60)):
+        rho, _ = _oracle_separable(3, index, da=2, db=3, lo=1, hi=4)
+        assert np.array_equal(rhos[row], rho), index
+
+
+@pytest.mark.parametrize("seed", [0, 42])
+def test_random_block_matches_the_per_sample_construction(seed):
+    rhos = _random_block(seed, 0, 2000)
+    purities = _purities(rhos)
+    for index in range(2000):
+        rho = _oracle_random(seed, index)
+        assert np.array_equal(rhos[index], rho), index
+        assert purities[index] == np.vdot(rho, rho).real
+    for index in (0, 7, 1999, 5000):
+        assert np.array_equal(random_state_at(seed, index).rho, _oracle_random(seed, index))
+    rank_two = _random_block(seed, 5, 25, dims=(2, 3), rank=2)
+    for row, index in enumerate(range(5, 25)):
+        assert np.array_equal(rank_two[row], _oracle_random(seed, index, n=6, r=2))
+
+
+def test_grid_blocks_match_the_per_value_construction():
+    singlet = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
+    grid = np.linspace(0.0, 1.0, 101)
+    werner = _werner_block(grid)
+    k2 = np.sqrt(np.maximum(0.0, 1.0 - grid * grid))
+    schmidt = _schmidt_block(grid, k2)
+    for row, value in enumerate(grid.tolist()):
+        want = (value * np.outer(singlet, singlet.conj())
+                + (1.0 - value) * np.eye(4) / 4.0)
+        assert np.array_equal(werner[row], want)
+        vec = np.zeros(4, dtype=complex)
+        vec[0], vec[3] = value, math.sqrt(max(0.0, 1.0 - value * value))
+        assert np.array_equal(schmidt[row], np.outer(vec, vec.conj()))
+
+
+def test_stacked_squared_norm_is_the_blas_dot():
+    # the property the separable block's bit identity rests on: a stacked
+    # (1, k) @ (k, 1) matmul rounds as x.dot(x) (BLAS ddot) does, also on
+    # the strided real and imaginary views np.linalg.norm reads
+    rng = np.random.default_rng(2026)
+    z = rng.standard_normal((20_000, 2)) + 1j * rng.standard_normal((20_000, 2))
+    for x in (z.real, z.imag, rng.standard_normal((20_000, 2))):
+        sq = _sq_norms(x)
+        assert all(sq[k] == x[k].dot(x[k]) for k in range(len(x)))
+    norms = np.sqrt(_sq_norms(z.real) + _sq_norms(z.imag))
+    assert all(norms[k] == np.linalg.norm(z[k]) for k in range(len(z)))
+
+
+def test_block_errors_name_their_row():
+    with pytest.raises(NotAStateError, match=r"^row 12: werner parameter 1.5 "):
+        _werner_block(np.array([0.5, 1.5, 2.0]), first_index=11)
+    with pytest.raises(NormalizationError, match=r"^row 4: \|k1\|\^2"):
+        _schmidt_block(np.array([0.6, 0.9]), np.array([0.8, 0.9]), first_index=3)
+    with pytest.raises(NotAStateError, match=r"^werner parameter 1.5 is outside"):
+        werner_state(1.5)
+
+
+def test_ensemble_validation_reports_the_first_failed_check():
+    v = np.array([1.0, 0.0], dtype=complex)
+    with pytest.raises(ValueError, match="weights must be positive, got -0.5"):
+        # term 1 fails both its weight and its norm; the weight is checked first
+        ensemble_state([(0.5, v, v), (-0.5, 2.0 * v, v), (1.0, v, 2.0 * v)])
+    with pytest.raises(NormalizationError, match="local state has norm 2, expected 1"):
+        ensemble_state([(0.5, v, v), (0.5, v, 2.0 * v)])
+    with pytest.raises(NormalizationError, match="weights sum to 0.8, expected 1"):
+        ensemble_state([(0.4, v, v), (0.4, v, v)])
