@@ -46,7 +46,6 @@ from .cyclic import (
 )
 from .errors import ConsistencyError, RecoveryError
 from .states import (
-    SAMPLE_BLOCK,
     _random_block,
     _schmidt_block,
     _separable_block,
@@ -259,21 +258,17 @@ def _scan_rows(task):
     """
     family, start, stop, grid, seed, eps_deg, tol_cyclic, tol_bound = task
     if family == "separable":
-        # built SAMPLE_BLOCK rows at a time, so that the draws held at once stay few
-        rhos, params = np.empty((stop - start, 4, 4), dtype=complex), []
-        for first in range(start, stop, SAMPLE_BLOCK):
-            last = min(stop, first + SAMPLE_BLOCK)
-            rhos[first - start:last - start], draws = _separable_block(seed, first, last)
-            params += [float(len(weights)) for weights, _ in draws]
+        rhos, draws = _separable_block(seed, start, stop)
+        params = [float(len(weights)) for weights, _ in draws]
     elif family == "random":
         rhos = _random_block(seed, start, stop)
         params = _purities(rhos).tolist()
     elif family == "werner-grid":
-        rhos = _werner_block(grid[start:stop], first_index=start)
+        rhos = _werner_block(grid[start:stop])
         params = grid[start:stop].tolist()
     elif family == "schmidt-grid":
         k1 = grid[start:stop]
-        rhos = _schmidt_block(k1, np.sqrt(np.maximum(0.0, 1.0 - k1 * k1)), first_index=start)
+        rhos = _schmidt_block(k1, np.sqrt(np.maximum(0.0, 1.0 - k1 * k1)))
         params = k1.tolist()
     else:
         raise ValueError(f"unknown scan family {family!r}")

@@ -37,19 +37,17 @@ def _substream(seed, index):
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
-def _schmidt_block(k1, k2, first_index=None):
+def _schmidt_block(k1, k2):
     """The stack of k1|00> + k2|11> for arrays of coefficients.
 
     Each pair must satisfy |k1|^2 + |k2|^2 = 1 within 1e-12; the lowest
-    failing pair raises, named ``row first_index + i`` when
-    ``first_index`` is given.
+    failing pair raises.
     """
     total = np.abs(k1) ** 2 + np.abs(k2) ** 2
     bad = np.abs(total - 1.0) > 1e-12
     if bad.any():
         k = int(np.argmax(bad))
-        raise NormalizationError(_named(
-            f"|k1|^2 + |k2|^2 = {total[k]:.15g}, expected 1", first_index, k))
+        raise NormalizationError(f"|k1|^2 + |k2|^2 = {total[k]:.15g}, expected 1")
     vec = np.zeros((len(total), 4), dtype=complex)
     vec[:, 0] = k1
     vec[:, 3] = k2
@@ -69,18 +67,16 @@ def bell_state():
     return schmidt_state(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
 
 
-def _werner_block(p, first_index=None):
+def _werner_block(p):
     """The stack of Werner states p |psi-><psi-| + (1-p) I/4 for an array of p.
 
     Each p must lie in [-1/3, 1]; the lowest one outside raises
-    NotAStateError, named ``row first_index + i`` when ``first_index`` is
-    given.
+    NotAStateError.
     """
     inside = (-1.0 / 3.0 - 1e-12 <= p) & (p <= 1.0 + 1e-12)
     if not inside.all():
         k = int(np.argmin(inside))
-        raise NotAStateError(_named(
-            f"werner parameter {p[k]} is outside [-1/3, 1]", first_index, k))
+        raise NotAStateError(f"werner parameter {p[k]} is outside [-1/3, 1]")
     p = p[:, None, None]
     return p * _SINGLET_PROJECTOR + (1.0 - p) * np.eye(4) / 4.0
 

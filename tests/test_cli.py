@@ -388,16 +388,6 @@ def test_scan_worker_blocks_do_not_change_output(tmp_path, capsys, family):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
-def test_scan_separable_chunks_do_not_change_output(capsys, monkeypatch):
-    # a worker builds its separable rows SAMPLE_BLOCK at a time
-    argv = ("scan", "--family", "separable", "--count", "23", "--seed", "4")
-    _, whole, _ = run_cli(capsys, *argv)
-    monkeypatch.setattr(cycshift.cli, "SAMPLE_BLOCK", 5)
-    code, chunked, _ = run_cli(capsys, *argv)
-    assert code == 0
-    assert chunked == whole
-
-
 def test_scan_cross_check_failure_names_the_row(capsys, monkeypatch):
     monkeypatch.setattr(cycshift.cyclic, "CROSS_CHECK_TOL", -1.0)
     code, _, err = run_cli(capsys, "scan", "--family", "random", "--count", "4")

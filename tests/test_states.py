@@ -275,11 +275,11 @@ def test_stacked_squared_norm_is_the_blas_dot():
     assert all(norms[k] == np.linalg.norm(z[k]) for k in range(len(z)))
 
 
-def test_block_errors_name_their_row():
-    with pytest.raises(NotAStateError, match=r"^row 12: werner parameter 1.5 "):
-        _werner_block(np.array([0.5, 1.5, 2.0]), first_index=11)
-    with pytest.raises(NormalizationError, match=r"^row 4: \|k1\|\^2"):
-        _schmidt_block(np.array([0.6, 0.9]), np.array([0.8, 0.9]), first_index=3)
+def test_grid_blocks_reject_their_lowest_bad_value():
+    with pytest.raises(NotAStateError, match=r"^werner parameter 1.5 is outside"):
+        _werner_block(np.array([0.5, 1.5, 2.0]))
+    with pytest.raises(NormalizationError, match=r"^\|k1\|\^2 \+ \|k2\|\^2 = 1.62,"):
+        _schmidt_block(np.array([0.6, 0.9]), np.array([0.8, 0.9]))
     with pytest.raises(NotAStateError, match=r"^werner parameter 1.5 is outside"):
         werner_state(1.5)
 
